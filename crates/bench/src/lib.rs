@@ -1,16 +1,10 @@
 //! # flexserve-bench
 //!
-//! Criterion performance benches for the flexserve workspace, plus shared
-//! fixtures. The benches cover:
-//!
-//! * `graph_ops` — substrate generation, Dijkstra, all-pairs matrices;
-//! * `routing` — nearest vs load-aware request routing;
-//! * `strategies` — per-round decision cost of ONTH / ONBR / ONCONF and
-//!   full short runs;
-//! * `opt_dp` — the offline DP's scaling with substrate size and horizon;
-//! * `figures` — micro (quick-profile) versions of each paper
-//!   figure/table pipeline, so a regression in any experiment's runtime is
-//!   caught like any other perf regression.
+//! Shared fixtures of the `perf_report` before/after harness
+//! (`src/bin/perf_report.rs`), which writes the `BENCH_*.json` files at
+//! the repository root. Per-layer timings of a whole `flexserve run all`
+//! and of the serving paths come from `flexbench/run.py --trace 1`
+//! (see `docs/BENCHMARKS.md`).
 //!
 //! Cost-level (not time-level) ablations live in the
 //! `flexserve-experiments` crate (`cargo run -p flexserve-experiments
@@ -18,31 +12,15 @@
 
 #![deny(missing_docs)]
 
-use flexserve_graph::gen::{erdos_renyi, waxman, GenConfig};
-use flexserve_graph::{DistanceMatrix, Graph};
+use flexserve_graph::gen::{waxman, GenConfig};
+use flexserve_graph::Graph;
 use flexserve_sim::{CostBreakdown, CostParams, LoadModel};
 use flexserve_workload::{record, CommuterScenario, LoadVariant};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-/// A seeded ER substrate with its distance matrix (shared bench fixture).
-pub struct BenchEnv {
-    /// The substrate.
-    pub graph: Graph,
-    /// Its APSP matrix.
-    pub matrix: DistanceMatrix,
-}
-
-/// Builds the standard bench fixture: ER(n, 1%), connected, seeded.
-pub fn bench_env(n: usize, seed: u64) -> BenchEnv {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let graph = erdos_renyi(n, 0.01, &GenConfig::default(), &mut rng).expect("valid params");
-    let matrix = DistanceMatrix::build(&graph);
-    BenchEnv { graph, matrix }
-}
-
-/// Seeded connected Waxman substrate (no matrix — the APSP benches build
-/// it themselves; that *is* the measurement).
+/// Seeded connected Waxman substrate (no matrix — `perf_report`'s APSP entry
+/// builds it itself; that *is* the measurement).
 pub fn waxman_env(n: usize, seed: u64) -> Graph {
     let mut rng = SmallRng::seed_from_u64(seed);
     waxman(n, 0.4, 0.15, 10.0, &GenConfig::default(), &mut rng).expect("valid params")
@@ -62,16 +40,4 @@ pub fn sweep_cell(env: &flexserve_experiments::setup::ExperimentEnv, seed: u64) 
     let trace = record(&mut scenario, 240);
     flexserve_experiments::run_algorithm(&ctx, &trace, flexserve_experiments::Algorithm::OnTh)
         .total()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixture_builds() {
-        let env = bench_env(50, 1);
-        assert_eq!(env.graph.node_count(), 50);
-        assert!(env.matrix.is_connected());
-    }
 }

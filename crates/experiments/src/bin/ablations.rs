@@ -1,7 +1,7 @@
 //! Ablation studies for the design choices docs/DESIGN.md calls out.
 //!
-//! Unlike the criterion benches (which track *runtime*), these report the
-//! *cost* impact of each design knob, averaged over seeds:
+//! Unlike `perf_report` and `flexbench` (which track *runtime*), these
+//! report the *cost* impact of each design knob, averaged over seeds:
 //!
 //! 1. inactive-cache capacity (paper: 3),
 //! 2. inactive-cache expiry (paper: 20 epochs),

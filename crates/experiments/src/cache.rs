@@ -18,45 +18,17 @@
 //! The cache is bounded: entries are evicted least-recently-used once the
 //! matrices exceed [`DistCache::DEFAULT_CAPACITY_BYTES`] (override with the
 //! `FLEXSERVE_CACHE_BYTES` environment variable; `0` disables caching).
+//! The LRU machinery is the crate's `ByteLru`, shared with
+//! [`TraceCache`](crate::TraceCache); this module only defines the key and
+//! builds the matrix beside the graph.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use flexserve_graph::{DistanceMatrix, Graph};
 
+pub use crate::lru::CacheStats;
+use crate::lru::{capacity_from_env, ByteLru};
 use crate::setup::ExperimentEnv;
-
-struct Entry {
-    env: ExperimentEnv,
-    /// Monotone counter value of the last access (for LRU eviction).
-    last_used: u64,
-    bytes: usize,
-}
-
-/// Hit/miss/eviction counters of a [`DistCache`], snapshotted by
-/// [`DistCache::stats`] and recorded in the result manifest.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that had to build graph + matrix.
-    pub misses: u64,
-    /// Entries evicted to stay within the byte budget.
-    pub evictions: u64,
-}
-
-impl CacheStats {
-    /// `hits / (hits + misses)`, or 0 when the cache was never consulted.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
 
 /// An LRU cache of `(topology spec, seed) → (graph, distance matrix)`.
 ///
@@ -84,12 +56,7 @@ impl CacheStats {
 /// assert_eq!(cache.stats().misses, 1);
 /// ```
 pub struct DistCache {
-    inner: Mutex<HashMap<(String, u64), Entry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    clock: AtomicU64,
-    capacity_bytes: usize,
+    lru: ByteLru<(String, u64), ExperimentEnv>,
 }
 
 impl DistCache {
@@ -102,12 +69,7 @@ impl DistCache {
     /// nothing is retained).
     pub fn with_capacity_bytes(capacity_bytes: usize) -> Self {
         DistCache {
-            inner: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
-            capacity_bytes,
+            lru: ByteLru::with_capacity_bytes(capacity_bytes),
         }
     }
 
@@ -118,11 +80,10 @@ impl DistCache {
     pub fn global() -> &'static DistCache {
         static GLOBAL: OnceLock<DistCache> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let capacity = std::env::var("FLEXSERVE_CACHE_BYTES")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(Self::DEFAULT_CAPACITY_BYTES);
-            DistCache::with_capacity_bytes(capacity)
+            DistCache::with_capacity_bytes(capacity_from_env(
+                "FLEXSERVE_CACHE_BYTES",
+                Self::DEFAULT_CAPACITY_BYTES,
+            ))
         })
     }
 
@@ -136,61 +97,22 @@ impl DistCache {
         seed: u64,
         build: impl FnOnce() -> Result<Graph, String>,
     ) -> Result<ExperimentEnv, String> {
-        let key = (topology.to_string(), seed);
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = self.inner.lock().unwrap().get_mut(&key) {
-            entry.last_used = now;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(entry.env.clone());
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Build outside the lock: misses on different keys proceed in
-        // parallel (rayon runs seeds concurrently). Two racing builders of
-        // the same key do duplicate work, but the results are bit-identical
-        // and only the first insert is kept.
-        let graph = build()?;
-        let matrix = DistanceMatrix::build(&graph);
-        let env = ExperimentEnv {
-            graph: Arc::new(graph),
-            matrix: Arc::new(matrix),
-        };
-        let n = env.matrix.node_count();
-        let bytes = n * n * std::mem::size_of::<f64>();
-        if bytes > self.capacity_bytes {
-            return Ok(env); // too large to retain (or caching disabled)
-        }
-        let mut map = self.inner.lock().unwrap();
-        let entry = map.entry(key).or_insert_with(|| Entry {
-            env: env.clone(),
-            last_used: now,
-            bytes,
-        });
-        entry.last_used = now;
-        let env = entry.env.clone();
-        self.evict_to_capacity(&mut map);
-        Ok(env)
-    }
-
-    /// Evicts least-recently-used entries until the byte budget holds.
-    /// Caller must hold the lock.
-    fn evict_to_capacity(&self, map: &mut HashMap<(String, u64), Entry>) {
-        let mut total: usize = map.values().map(|e| e.bytes).sum();
-        while total > self.capacity_bytes && !map.is_empty() {
-            let oldest = map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map has a minimum");
-            if let Some(e) = map.remove(&oldest) {
-                total -= e.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.lru
+            .get_or_try_insert_with((topology.to_string(), seed), || {
+                let graph = build()?;
+                let matrix = DistanceMatrix::build(&graph);
+                let n = matrix.node_count();
+                let env = ExperimentEnv {
+                    graph: Arc::new(graph),
+                    matrix: Arc::new(matrix),
+                };
+                Ok((env, n * n * std::mem::size_of::<f64>()))
+            })
     }
 
     /// Number of retained entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
+        self.lru.len()
     }
 
     /// Whether the cache currently retains nothing.
@@ -200,20 +122,13 @@ impl DistCache {
 
     /// Snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.lru.stats()
     }
 
     /// Drops all entries and resets the counters (between unrelated CLI
     /// runs, so manifests report per-run stats).
     pub fn clear(&self) {
-        self.inner.lock().unwrap().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+        self.lru.clear()
     }
 }
 
@@ -285,85 +200,28 @@ mod tests {
     }
 
     #[test]
-    fn lru_eviction_respects_budget() {
-        // Budget fits exactly two 5-node matrices (5*5*8 = 200 bytes each).
-        let cache = DistCache::with_capacity_bytes(400);
+    fn an_entry_built_while_other_lookups_ran_is_the_most_recent() {
+        // The budget holds one 6-node matrix. While seed 1 is being built,
+        // a lookup of seed 2 completes; seed 1 is handed out last, so it
+        // must be the survivor and seed 2 the victim.
+        let cache = DistCache::with_capacity_bytes(6 * 6 * std::mem::size_of::<f64>());
         cache
-            .get_or_build("unit-line:5", 1, || Ok(build_line(5)))
-            .unwrap();
-        cache
-            .get_or_build("unit-line:5", 2, || Ok(build_line(5)))
-            .unwrap();
-        assert_eq!(cache.len(), 2);
-        // Touch seed 1 so seed 2 is the LRU victim.
-        cache
-            .get_or_build("unit-line:5", 1, || panic!("cached"))
-            .unwrap();
-        cache
-            .get_or_build("unit-line:5", 3, || Ok(build_line(5)))
-            .unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        // Seed 1 survived, seed 2 was evicted.
-        cache
-            .get_or_build("unit-line:5", 1, || panic!("should still be cached"))
-            .unwrap();
-        let before = cache.stats().misses;
-        cache
-            .get_or_build("unit-line:5", 2, || Ok(build_line(5)))
-            .unwrap();
-        assert_eq!(cache.stats().misses, before + 1, "evicted entry rebuilds");
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let cache = DistCache::with_capacity_bytes(0);
-        cache
-            .get_or_build("unit-line:4", 1, || Ok(build_line(4)))
-            .unwrap();
-        cache
-            .get_or_build("unit-line:4", 1, || Ok(build_line(4)))
+            .get_or_build("unit-line:6", 1, || {
+                cache
+                    .get_or_build("unit-line:6", 2, || Ok(build_line(6)))
+                    .unwrap();
+                Ok(build_line(6))
+            })
             .unwrap();
         assert_eq!(cache.stats().misses, 2);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let cache = DistCache::with_capacity_bytes(1 << 20);
+        assert_eq!(cache.stats().evictions, 1);
         cache
-            .get_or_build("unit-line:4", 1, || Ok(build_line(4)))
+            .get_or_build("unit-line:6", 1, || Ok(build_line(6)))
             .unwrap();
-        cache
-            .get_or_build("unit-line:4", 1, || Ok(build_line(4)))
-            .unwrap();
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn concurrent_same_key_lookups_converge() {
-        use rayon::prelude::*;
-        let cache = DistCache::with_capacity_bytes(1 << 20);
-        let envs: Vec<ExperimentEnv> = (0..8)
-            .into_par_iter()
-            .map(|_| {
-                cache
-                    .get_or_build("unit-line:6", 7, || Ok(build_line(6)))
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(cache.len(), 1);
-        let canonical = cache
-            .get_or_build("unit-line:6", 7, || panic!("cached"))
-            .unwrap();
-        for env in envs {
-            // Racing builders may hold a pre-insert copy, but contents are
-            // identical; post-race lookups all share the inserted Arc.
-            assert_eq!(env.matrix.node_count(), canonical.matrix.node_count());
-        }
-        let s = cache.stats();
-        assert!(s.hits + s.misses >= 9);
+        assert_eq!(
+            cache.stats().misses,
+            2,
+            "the entry just returned was evicted in favour of an older one"
+        );
     }
 }

@@ -39,6 +39,7 @@
 
 pub mod cache;
 pub mod figures;
+mod lru;
 pub mod manifest;
 pub mod output;
 pub mod registry;

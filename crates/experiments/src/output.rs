@@ -73,12 +73,8 @@ impl Table {
         out
     }
 
-    /// Prints to stdout (suppressed when `FLEXSERVE_SILENT=1`, which the
-    /// figure benches set to keep criterion output readable).
+    /// Prints to stdout.
     pub fn print(&self) {
-        if std::env::var("FLEXSERVE_SILENT").is_ok_and(|v| v == "1") {
-            return;
-        }
         print!("{}", self.render());
     }
 

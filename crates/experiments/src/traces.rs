@@ -21,7 +21,10 @@
 //! The cache is bounded: entries are evicted least-recently-used once the
 //! stored counts exceed [`TraceCache::DEFAULT_CAPACITY_BYTES`] (override
 //! with `FLEXSERVE_TRACE_BYTES`; `0` disables caching). Counters land in
-//! `results/manifest.json` next to the distance-matrix counters.
+//! `results/manifest.json` next to the distance-matrix counters. The LRU
+//! machinery is the crate's `ByteLru`, shared with [`DistCache`]; this
+//! module only defines [`TraceKey`] and sizes a trace by its
+//! `memory_bytes`.
 //!
 //! Replay cells (`wl=replay:<path>`, packed or JSONL — see
 //! `docs/TRACES.md`) flow through here too: the batch pipeline's offline
@@ -31,14 +34,13 @@
 //! recorded result is the whole horizon). Traces larger than the byte
 //! budget are handed out uncached rather than evicting everything else.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use flexserve_workload::RoundTrace;
 
 pub use crate::cache::CacheStats;
 use crate::cache::DistCache;
+use crate::lru::{capacity_from_env, ByteLru};
 
 /// Identity of one recorded demand process. Two cells with equal keys see
 /// byte-identical demand, so they may share one materialized trace.
@@ -60,20 +62,14 @@ pub struct TraceKey {
     pub seed: u64,
 }
 
-struct Entry {
-    trace: RoundTrace,
-    last_used: u64,
-    bytes: usize,
-}
-
 /// An LRU cache of `TraceKey → RoundTrace` with hit/miss/eviction
 /// counters, sharing recorded demand across the strategy cells of a
 /// figure or sweep.
 ///
-/// Thread-safe with the same discipline as [`DistCache`]: recordings run
-/// outside the lock (concurrent misses on different keys proceed in
-/// parallel; racing recorders of one key produce bit-identical traces and
-/// only the first insert is kept).
+/// Thread-safe with the same discipline as [`DistCache`] (both wrap the
+/// crate's `ByteLru`): recordings run outside the lock (concurrent misses
+/// on different keys proceed in parallel; racing recorders of one key
+/// produce bit-identical traces and only the first insert is kept).
 ///
 /// ```
 /// use flexserve_experiments::{TraceCache, TraceKey};
@@ -96,12 +92,7 @@ struct Entry {
 /// assert_eq!(cache.stats().misses, 1);
 /// ```
 pub struct TraceCache {
-    inner: Mutex<HashMap<TraceKey, Entry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    clock: AtomicU64,
-    capacity_bytes: usize,
+    lru: ByteLru<TraceKey, RoundTrace>,
 }
 
 impl TraceCache {
@@ -114,12 +105,7 @@ impl TraceCache {
     /// disables caching (every lookup records afresh, nothing retained).
     pub fn with_capacity_bytes(capacity_bytes: usize) -> Self {
         TraceCache {
-            inner: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
-            capacity_bytes,
+            lru: ByteLru::with_capacity_bytes(capacity_bytes),
         }
     }
 
@@ -129,63 +115,26 @@ impl TraceCache {
     pub fn global() -> &'static TraceCache {
         static GLOBAL: OnceLock<TraceCache> = OnceLock::new();
         GLOBAL.get_or_init(|| {
-            let capacity = std::env::var("FLEXSERVE_TRACE_BYTES")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(Self::DEFAULT_CAPACITY_BYTES);
-            TraceCache::with_capacity_bytes(capacity)
+            TraceCache::with_capacity_bytes(capacity_from_env(
+                "FLEXSERVE_TRACE_BYTES",
+                Self::DEFAULT_CAPACITY_BYTES,
+            ))
         })
     }
 
     /// Returns the cached trace for `key`, recording it with `record` on
     /// a miss. Hits hand out an `Arc`-shared view — O(1), no copying.
     pub fn get_or_record(&self, key: TraceKey, record: impl FnOnce() -> RoundTrace) -> RoundTrace {
-        let now = self.clock.fetch_add(1, Ordering::Relaxed);
-        if let Some(entry) = self.inner.lock().unwrap().get_mut(&key) {
-            entry.last_used = now;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return entry.trace.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Record outside the lock: misses on different keys proceed in
-        // parallel under the seed-fanning runner.
-        let trace = record();
-        let bytes = trace.memory_bytes();
-        if bytes > self.capacity_bytes {
-            return trace; // too large to retain (or caching disabled)
-        }
-        let mut map = self.inner.lock().unwrap();
-        let entry = map.entry(key).or_insert_with(|| Entry {
-            trace: trace.clone(),
-            last_used: now,
-            bytes,
-        });
-        entry.last_used = now;
-        let trace = entry.trace.clone();
-        self.evict_to_capacity(&mut map);
-        trace
-    }
-
-    /// Evicts least-recently-used entries until the byte budget holds.
-    /// Caller must hold the lock.
-    fn evict_to_capacity(&self, map: &mut HashMap<TraceKey, Entry>) {
-        let mut total: usize = map.values().map(|e| e.bytes).sum();
-        while total > self.capacity_bytes && !map.is_empty() {
-            let oldest = map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty map has a minimum");
-            if let Some(e) = map.remove(&oldest) {
-                total -= e.bytes;
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.lru.get_or_insert_with(key, || {
+            let trace = record();
+            let bytes = trace.memory_bytes();
+            (trace, bytes)
+        })
     }
 
     /// Number of retained entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().len()
+        self.lru.len()
     }
 
     /// Whether the cache currently retains nothing.
@@ -195,19 +144,12 @@ impl TraceCache {
 
     /// Snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
+        self.lru.stats()
     }
 
     /// Drops all entries and resets the counters.
     pub fn clear(&self) {
-        self.inner.lock().unwrap().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
+        self.lru.clear()
     }
 }
 
@@ -264,50 +206,5 @@ mod tests {
         cache.get_or_record(other, || trace(3));
         assert_eq!(cache.stats().misses, 4);
         assert_eq!(cache.len(), 4);
-    }
-
-    #[test]
-    fn lru_eviction_respects_budget() {
-        let bytes = trace(0).memory_bytes();
-        let cache = TraceCache::with_capacity_bytes(2 * bytes);
-        cache.get_or_record(key(1, 1), || trace(0));
-        cache.get_or_record(key(1, 2), || trace(1));
-        assert_eq!(cache.len(), 2);
-        // touch (1,1) so (1,2) is the LRU victim
-        cache.get_or_record(key(1, 1), || panic!("cached"));
-        cache.get_or_record(key(1, 3), || trace(2));
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().evictions, 1);
-        cache.get_or_record(key(1, 1), || panic!("survivor"));
-        let misses = cache.stats().misses;
-        cache.get_or_record(key(1, 2), || trace(1));
-        assert_eq!(cache.stats().misses, misses + 1, "evicted entry re-records");
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let cache = TraceCache::with_capacity_bytes(0);
-        cache.get_or_record(key(1, 1), || trace(0));
-        cache.get_or_record(key(1, 1), || trace(0));
-        assert_eq!(cache.stats().misses, 2);
-        assert!(cache.is_empty());
-        cache.clear();
-        assert_eq!(cache.stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn concurrent_same_key_lookups_converge() {
-        use rayon::prelude::*;
-        let cache = TraceCache::with_capacity_bytes(1 << 20);
-        let traces: Vec<RoundTrace> = (0..8)
-            .into_par_iter()
-            .map(|_| cache.get_or_record(key(7, 7), || trace(4)))
-            .collect();
-        assert_eq!(cache.len(), 1);
-        for t in traces {
-            assert_eq!(t, trace(4));
-        }
-        let s = cache.stats();
-        assert!(s.hits + s.misses >= 8);
     }
 }

@@ -27,12 +27,11 @@ const LIST_GOLDEN: &str = include_str!("golden/list.txt");
 #[test]
 fn fig03_is_byte_identical_to_the_retired_binary_and_hits_the_cache() {
     // Route artifacts to a scratch dir so the test never touches the
-    // real results/ tree, and silence the table printer. The only other
-    // test in this binary reads no environment variables.
+    // real results/ tree. The only other test in this binary reads no
+    // environment variables.
     let dir = std::env::temp_dir().join("flexserve-golden-fig03");
     std::fs::create_dir_all(&dir).unwrap();
     std::env::set_var("FLEXSERVE_RESULTS_DIR", &dir);
-    std::env::set_var("FLEXSERVE_SILENT", "1");
 
     let entry = registry::figure("fig03").expect("fig03 is registered");
     let table = (entry.run)(Profile::Quick);
