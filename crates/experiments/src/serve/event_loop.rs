@@ -1,23 +1,26 @@
-//! The nonblocking epoll front end: a small fixed pool of reactor
-//! threads owns every client connection, parses requests incrementally
-//! off readiness events, and hands complete requests to the worker pool.
+//! The nonblocking epoll front end of both daemons: a small fixed pool of
+//! reactor threads owns every client connection, parses requests
+//! incrementally off readiness events, and hands complete requests to a
+//! worker pool that runs the daemon's handler on them. `flexserve serve`
+//! passes its session dispatch (`handlers::process_request`),
+//! `flexserve route` its proxy dispatch; everything else — framing,
+//! keep-alive, deadlines, draining, SIGTERM — lives here once.
 //!
-//! The point is the cost model. The old front end parked one worker
-//! thread per in-flight connection, so 10k idle keep-alive clients meant
-//! 10k blocked threads (or, with a bounded pool, a starved daemon). Under
-//! the reactor an idle connection costs one file descriptor and ~100
-//! bytes of table state: `reactor-threads=` (default 2) threads multiplex
-//! *all* connections through `epoll_wait`, and only connections with a
-//! complete request in hand occupy a worker.
+//! The point is the cost model. A front end that parks one thread per
+//! connection turns 10k idle keep-alive clients into 10k blocked threads
+//! (or, with a bounded pool, a starved daemon: as few idle clients as
+//! the pool has threads stall everyone else for the whole keep-alive
+//! window). Under the reactor an idle connection costs one file
+//! descriptor and ~100 bytes of table state: the reactor threads
+//! multiplex *all* connections through `epoll_wait`, and only
+//! connections with a complete request in hand occupy a worker.
 //!
 //! Like the mmap shim in `flexserve_workload::packed`, the epoll plumbing
 //! is a hand-rolled `extern "C"` shim over raw syscalls
 //! (`epoll_create1` / `epoll_ctl` / `epoll_wait`, `pipe2` for cross-thread
-//! wakeups, `setrlimit` to lift the fd soft cap) — no new dependencies.
-//! On non-Linux hosts the daemon falls back to the previous blocking
-//! accept-loop + worker-pool front end; the HTTP semantics
-//! (keep-alive, 408 stalled-request timeouts, 413 caps, graceful
-//! shutdown) are identical either way and pinned by `tests/serve_http.rs`.
+//! wakeups, `setrlimit` to lift the fd soft cap, `signal` for SIGTERM) —
+//! no new dependencies. The daemons are Linux-only: elsewhere
+//! [`run_front_end`] refuses to start.
 //!
 //! Division of labor per connection:
 //!
@@ -26,8 +29,8 @@
 //!                                        try_parse_request (incremental)
 //!                                │ complete request
 //!                                ▼
-//!                        worker pool: route → dispatch → render_response,
-//!                        write on the connection (nonblocking)
+//!                        worker pool: handler (serve or route dispatch),
+//!                        render_response, write on the connection
 //!                                │ Done / Flush{rest}
 //!                                ▼
 //!                        reactor: finish partial writes (EPOLLOUT),
@@ -35,37 +38,65 @@
 //! ```
 //!
 //! A connection is in exactly one of three states: `Reading` (reactor
-//! owns it, EPOLLIN armed), `Busy` (a worker owns it, no interest mask so
+//! owns it, EPOLLIN armed), `Busy` (a worker owns it, nothing armed so
 //! a flooding client cannot buffer unboundedly), or `Writing` (reactor
 //! drains a response the worker could not finish, EPOLLOUT armed).
-//! Deadlines mirror the blocking front end exactly: a connection that has
-//! never completed a request gets `request-timeout=`, an idle keep-alive
-//! connection gets [`KEEP_ALIVE_IDLE`], expiry with a half-read request
-//! answers 408 and closes, expiry with an empty buffer closes quietly.
+//! Registrations are one-shot, so the readiness event that completes a
+//! request also parks its connection; a worker that writes a keep-alive
+//! response in full re-arms it itself and tells the reactor without
+//! waking it. A request therefore costs the reactor one wakeup.
+//! A connection that has never completed a request gets the daemon's
+//! `request-timeout=`, an idle keep-alive connection gets
+//! `KEEP_ALIVE_IDLE`; expiry with a half-read request answers 408 and
+//! closes, expiry with an empty buffer closes quietly. A handler that
+//! panics answers 500 and closes its connection; its worker survives.
+
+use std::sync::atomic::AtomicBool;
+use std::time::Duration;
 
 #[cfg(target_os = "linux")]
 pub use linux::raise_nofile_limit;
 #[cfg(target_os = "linux")]
 pub(crate) use linux::run_front_end;
 
+/// What a daemon hands its front end besides the listener and the
+/// handler.
+pub(crate) struct FrontEnd<'a> {
+    /// The daemon's name (`serve`, `route`): names threads and prefixes
+    /// log lines.
+    pub(crate) daemon: &'static str,
+    /// Threads running the handler on complete requests.
+    pub(crate) workers: usize,
+    /// Reactor threads multiplexing the connections.
+    pub(crate) reactors: usize,
+    /// How long a client may take to deliver its first request (a
+    /// stalled one gets 408) or to drain a response.
+    pub(crate) request_timeout: Duration,
+    /// The daemon's shutdown flag: set by a handler's shutdown outcome
+    /// or by SIGTERM, watched by the daemon's own background threads.
+    pub(crate) shutdown: &'a AtomicBool,
+}
+
 #[cfg(target_os = "linux")]
 mod linux {
     use std::collections::HashMap;
     use std::io::{Read, Write};
-    use std::net::{TcpListener, TcpStream};
+    use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
     use std::os::unix::io::AsRawFd;
-    use std::sync::atomic::Ordering;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::{mpsc, Arc, Mutex};
     use std::time::{Duration, Instant};
 
-    use super::super::handlers::{self, KEEP_ALIVE_IDLE};
-    use super::super::http::{render_response, try_parse_request, HttpError, HttpRequest};
-    use super::super::ServeShared;
+    use super::super::http::{
+        error_json, render_response, try_parse_request, HttpError, HttpRequest, Outcome,
+    };
+    use super::FrontEnd;
 
     /// Raw syscall shims (same vendoring philosophy as the mmap shim in
-    /// `flexserve_workload::packed`): just the epoll, pipe and rlimit
-    /// surface the reactor needs, against the platform libc the binary
-    /// already links.
+    /// `flexserve_workload::packed`): just the epoll, pipe, rlimit and
+    /// signal surface the front end needs, against the platform libc the
+    /// binary already links.
     mod sys {
         use std::ffi::c_void;
 
@@ -73,6 +104,7 @@ mod linux {
         pub const EPOLLOUT: u32 = 0x4;
         pub const EPOLLERR: u32 = 0x8;
         pub const EPOLLHUP: u32 = 0x10;
+        pub const EPOLLONESHOT: u32 = 1 << 30;
         pub const EPOLL_CTL_ADD: i32 = 1;
         pub const EPOLL_CTL_DEL: i32 = 2;
         pub const EPOLL_CTL_MOD: i32 = 3;
@@ -80,6 +112,7 @@ mod linux {
         const O_NONBLOCK: i32 = 0o4000;
         const O_CLOEXEC: i32 = 0o2000000;
         const RLIMIT_NOFILE: i32 = 7;
+        const SIGTERM: i32 = 15;
 
         /// The kernel's `struct epoll_event`; packed on x86 so the
         /// 64-bit data member sits at offset 4, matching the ABI.
@@ -107,6 +140,7 @@ mod linux {
             fn close(fd: i32) -> i32;
             fn getrlimit(resource: i32, rlim: *mut RLimit) -> i32;
             fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
+            fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
         }
 
         pub fn create() -> std::io::Result<i32> {
@@ -186,6 +220,41 @@ mod linux {
             }
             lim.cur
         }
+
+        /// Routes SIGTERM to `handler`.
+        pub fn on_sigterm(handler: extern "C" fn(i32)) {
+            // SAFETY: `handler` only stores to an atomic, which is
+            // async-signal-safe.
+            unsafe {
+                signal(SIGTERM, handler);
+            }
+        }
+    }
+
+    /// SIGTERM handling: the signal handler only flips a flag (the whole
+    /// async-signal-safe budget); the front end's watcher thread turns
+    /// the flag into the same graceful shutdown as `POST /shutdown`.
+    mod sigterm {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        static TERM: AtomicBool = AtomicBool::new(false);
+
+        extern "C" fn on_term(_signum: i32) {
+            TERM.store(true, Ordering::SeqCst);
+        }
+
+        /// Installs the handler and clears any flag left by a previous
+        /// daemon in this process (tests run several daemon lifecycles
+        /// per binary).
+        pub(super) fn install() {
+            TERM.store(false, Ordering::SeqCst);
+            super::sys::on_sigterm(on_term);
+        }
+
+        /// True once SIGTERM has been received.
+        pub(super) fn pending() -> bool {
+            TERM.load(Ordering::SeqCst)
+        }
     }
 
     /// Lifts this process's fd soft limit (`RLIMIT_NOFILE`) to its hard
@@ -195,15 +264,19 @@ mod linux {
         sys::raise_nofile()
     }
 
+    /// How long a persistent connection may sit idle between requests
+    /// before the front end closes it. Short on purpose: an idle
+    /// connection still costs a file descriptor and a reactor-table slot.
+    const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(10);
     /// The epoll token of the wake pipe (connection ids start at 0 and
     /// count up, so the maximum is free).
     const WAKE_TOKEN: u64 = u64::MAX;
     /// How long `epoll_wait` may sleep between deadline sweeps.
     const TICK_MS: i32 = 100;
     /// Stop pulling bytes off a connection once this much is buffered
-    /// unparsed; level-triggered epoll resumes the read once the buffer
-    /// drains (the HTTP caps bound any *single* request much earlier —
-    /// this bounds a pipelined flood).
+    /// unparsed; the re-armed entry resumes the read (the HTTP caps bound
+    /// any *single* request much earlier — this bounds a pipelined
+    /// flood, which stays parked while its first request is served).
     const READ_HIGH_WATER: usize = 1024 * 1024;
     /// How long a shutting-down reactor waits for in-flight responses
     /// before force-closing what's left.
@@ -212,22 +285,40 @@ mod linux {
     /// A complete request handed from a reactor to the worker pool. The
     /// worker computes and writes the response on its own dup of the
     /// stream, then posts [`Msg::Done`] (or [`Msg::Flush`] with the
-    /// unwritten tail) back to the owning reactor.
-    pub(crate) struct Job {
+    /// unwritten tail) back to the owning reactor — or, in the common
+    /// keep-alive case, re-arms the connection itself and posts
+    /// [`Msg::Rearmed`].
+    struct Job {
         reactor: usize,
         conn: u64,
+        /// The reactor's fd for the connection: its epoll registration.
+        fd: i32,
         stream: TcpStream,
         request: HttpRequest,
+        /// Bytes past this request are buffered, or the peer half-closed:
+        /// the reactor has work the moment the response is out, so it
+        /// must be woken rather than wait for the next readiness event.
+        wake: bool,
     }
 
     /// Cross-thread mail for one reactor: new connections from the
     /// accept loop, completions from the workers.
     enum Msg {
         Conn(TcpStream),
+        /// The response is out; close the connection or read on.
         Done {
             conn: u64,
             keep_alive: bool,
         },
+        /// The response is out and the worker re-armed EPOLLIN itself.
+        /// Posted without a wake: the reactor takes its mailbox before
+        /// every event batch, so the connection's next readiness event
+        /// (or the next tick) brings it in — one wakeup per request
+        /// instead of two.
+        Rearmed {
+            conn: u64,
+        },
+        /// The worker could not write `rest` without blocking.
         Flush {
             conn: u64,
             rest: Vec<u8>,
@@ -235,12 +326,13 @@ mod linux {
         },
     }
 
-    /// The half of a reactor other threads may touch: the mailbox and
-    /// the write end of its wake pipe (closed when the last clone drops,
-    /// i.e. after the workers are joined).
+    /// The half of a reactor other threads may touch: the mailbox, the
+    /// write end of its wake pipe and its epoll instance (both closed
+    /// when the last clone drops, i.e. after the workers are joined).
     struct ReactorHandle {
         inbox: Mutex<Vec<Msg>>,
         wake_w: i32,
+        epfd: i32,
     }
 
     impl ReactorHandle {
@@ -252,11 +344,26 @@ mod linux {
         fn wake(&self) {
             sys::poke(self.wake_w);
         }
+
+        /// Hands a written-out keep-alive connection back for reading:
+        /// mail first, then the re-arm, so the readiness event the re-arm
+        /// allows always finds the mail already there.
+        fn rearm(&self, conn: u64, fd: i32) {
+            self.inbox
+                .lock()
+                .expect("reactor mailbox poisoned")
+                .push(Msg::Rearmed { conn });
+            // A failure (the reactor dropped the fd on a hangup) is
+            // repaired when the reactor takes the mail.
+            let events = sys::EPOLLIN | sys::EPOLLONESHOT;
+            let _ = sys::ctl(self.epfd, sys::EPOLL_CTL_MOD, fd, events, conn);
+        }
     }
 
     impl Drop for ReactorHandle {
         fn drop(&mut self) {
             sys::close_fd(self.wake_w);
+            sys::close_fd(self.epfd);
         }
     }
 
@@ -264,7 +371,7 @@ mod linux {
     enum State {
         /// The reactor is accumulating request bytes (EPOLLIN armed).
         Reading,
-        /// A worker owns the connection; no epoll interest.
+        /// A worker owns the connection; nothing armed.
         Busy,
         /// The reactor is draining response bytes (EPOLLOUT armed).
         Writing,
@@ -292,7 +399,8 @@ mod linux {
         last: Instant,
     }
 
-    struct Reactor {
+    struct Reactor<'a> {
+        daemon: &'static str,
         index: usize,
         epfd: i32,
         wake_r: i32,
@@ -300,7 +408,8 @@ mod linux {
         conns: HashMap<u64, Conn>,
         next_id: u64,
         job_tx: mpsc::Sender<Job>,
-        serve: Arc<ServeShared>,
+        request_timeout: Duration,
+        shutdown: &'a AtomicBool,
         /// Last deadline sweep; the sweep walks every connection, so it
         /// runs at most once per tick rather than on every wakeup (a busy
         /// reactor holding 10k idle connections would otherwise pay an
@@ -308,40 +417,48 @@ mod linux {
         last_sweep: Instant,
     }
 
-    impl Drop for Reactor {
+    impl Drop for Reactor<'_> {
         fn drop(&mut self) {
-            sys::close_fd(self.epfd);
             sys::close_fd(self.wake_r);
         }
     }
 
-    impl Reactor {
+    /// The 408/413/400 response the reactor itself originates; it always
+    /// closes the connection.
+    fn error_response(e: &HttpError) -> Vec<u8> {
+        render_response(e.status(), &error_json(&e.message()), false)
+    }
+
+    impl<'a> Reactor<'a> {
         fn new(
             index: usize,
             job_tx: mpsc::Sender<Job>,
-            serve: Arc<ServeShared>,
-        ) -> Result<(Arc<ReactorHandle>, Reactor), String> {
-            let epfd = sys::create().map_err(|e| format!("serve: epoll_create1: {e}"))?;
+            front_end: &FrontEnd<'a>,
+        ) -> Result<(Arc<ReactorHandle>, Reactor<'a>), String> {
+            let daemon = front_end.daemon;
+            let epfd = sys::create().map_err(|e| format!("{daemon}: epoll_create1: {e}"))?;
             let (wake_r, wake_w) = match sys::wake_pipe() {
                 Ok(p) => p,
                 Err(e) => {
                     sys::close_fd(epfd);
-                    return Err(format!("serve: pipe2: {e}"));
+                    return Err(format!("{daemon}: pipe2: {e}"));
                 }
             };
             if let Err(e) = sys::ctl(epfd, sys::EPOLL_CTL_ADD, wake_r, sys::EPOLLIN, WAKE_TOKEN) {
                 sys::close_fd(epfd);
                 sys::close_fd(wake_r);
                 sys::close_fd(wake_w);
-                return Err(format!("serve: epoll_ctl(wake): {e}"));
+                return Err(format!("{daemon}: epoll_ctl(wake): {e}"));
             }
             let handle = Arc::new(ReactorHandle {
                 inbox: Mutex::new(Vec::new()),
                 wake_w,
+                epfd,
             });
             Ok((
                 Arc::clone(&handle),
                 Reactor {
+                    daemon,
                     index,
                     epfd,
                     wake_r,
@@ -349,7 +466,8 @@ mod linux {
                     conns: HashMap::new(),
                     next_id: 0,
                     job_tx,
-                    serve,
+                    request_timeout: front_end.request_timeout,
+                    shutdown: front_end.shutdown,
                     last_sweep: Instant::now(),
                 },
             ))
@@ -363,11 +481,13 @@ mod linux {
                     Ok(n) => n,
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => 0,
                     Err(e) => {
-                        eprintln!("serve: epoll_wait: {e}");
+                        eprintln!("{}: epoll_wait: {e}", self.daemon);
                         break;
                     }
                 };
-                self.drain_inbox();
+                // Mail first: a re-armed connection's readiness event must
+                // find it Reading (see `Msg::Rearmed`).
+                self.take_mail();
                 for ev in events.iter().take(n) {
                     let ev = *ev; // copy out of the (possibly packed) slot
                     self.handle_event(ev.events, ev.data);
@@ -377,7 +497,7 @@ mod linux {
                     self.last_sweep = now;
                     self.sweep(now);
                 }
-                if self.serve.shutdown.load(Ordering::SeqCst) {
+                if self.shutdown.load(Ordering::SeqCst) {
                     let now = Instant::now();
                     let started = *shutdown_seen.get_or_insert(now);
                     // Close idle connections outright; in-flight requests
@@ -398,23 +518,19 @@ mod linux {
             }
         }
 
-        fn drain_inbox(&mut self) {
-            sys::drain(self.wake_r);
-            let msgs: Vec<Msg> = std::mem::take(&mut *self.handle.inbox.lock().unwrap());
+        fn take_mail(&mut self) {
+            let msgs: Vec<Msg> =
+                std::mem::take(&mut *self.handle.inbox.lock().expect("reactor mailbox poisoned"));
             for msg in msgs {
                 match msg {
                     Msg::Conn(stream) => self.add_conn(stream),
-                    Msg::Done { conn, keep_alive } => self.on_done(conn, keep_alive),
+                    Msg::Done { conn, keep_alive } => self.finish_response(conn, keep_alive, false),
+                    Msg::Rearmed { conn } => self.finish_response(conn, true, true),
                     Msg::Flush {
                         conn,
                         rest,
                         keep_alive,
-                    } => {
-                        if let Some(c) = self.conns.get_mut(&conn) {
-                            c.served_any = true;
-                        }
-                        self.start_write(conn, rest, keep_alive);
-                    }
+                    } => self.start_write(conn, rest, keep_alive),
                 }
             }
         }
@@ -442,9 +558,11 @@ mod linux {
             }
         }
 
-        /// Points the epoll entry for `id` at `events` (0 = parked while
-        /// a worker owns the connection). Returns false when the kernel
-        /// refuses — the connection is unusable then.
+        /// Arms the epoll entry for `id` for one `events` notification.
+        /// Every registration is one-shot: the event that hands a request
+        /// to a worker also parks the connection, with no syscall of its
+        /// own. Returns false when the kernel refuses — the connection is
+        /// unusable then.
         fn set_interest(&mut self, id: u64, events: u32) -> bool {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return false;
@@ -455,7 +573,7 @@ mod linux {
             } else {
                 sys::EPOLL_CTL_ADD
             };
-            match sys::ctl(self.epfd, op, fd, events, id) {
+            match sys::ctl(self.epfd, op, fd, events | sys::EPOLLONESHOT, id) {
                 Ok(()) => {
                     conn.registered = true;
                     true
@@ -466,7 +584,11 @@ mod linux {
 
         fn handle_event(&mut self, bits: u32, token: u64) {
             if token == WAKE_TOKEN {
+                // Pipe first, then mailbox: a message posted after the
+                // take leaves its wake byte behind for the next
+                // `epoll_wait`, so none is ever stranded.
                 sys::drain(self.wake_r);
+                self.take_mail();
                 return;
             }
             let Some(conn) = self.conns.get_mut(&token) else {
@@ -475,7 +597,7 @@ mod linux {
             if bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
                 match conn.state {
                     // The worker's write will surface the error; drop the
-                    // fd from the set so a level-triggered HUP can't spin.
+                    // fd from the set so a repeated HUP can't spin.
                     State::Busy => {
                         let fd = conn.stream.as_raw_fd();
                         let _ = sys::ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, 0, 0);
@@ -510,7 +632,9 @@ mod linux {
                     Ok(n) => {
                         conn.buf.extend_from_slice(&chunk[..n]);
                         conn.last = Instant::now();
-                        if conn.buf.len() >= READ_HIGH_WATER {
+                        // A short read drained the socket (the re-armed
+                        // entry reports anything that arrives later).
+                        if n < chunk.len() || conn.buf.len() >= READ_HIGH_WATER {
                             break;
                         }
                     }
@@ -522,12 +646,31 @@ mod linux {
                     }
                 }
             }
+            self.read_on(id, false);
+        }
+
+        /// Hands a complete buffered request to the workers, or keeps
+        /// listening for the rest (re-arming the one-shot entry unless
+        /// `armed` says a worker already did).
+        fn read_on(&mut self, id: u64, armed: bool) {
             self.try_dispatch(id);
+            let Some(conn) = self.conns.get(&id) else {
+                return;
+            };
+            if conn.state != State::Reading {
+                return; // dispatched, or answering a framing error
+            }
+            let armed = armed && conn.registered;
+            // Half a request (or none) and a half-closed peer can never
+            // complete.
+            if conn.peer_eof || (!armed && !self.set_interest(id, sys::EPOLLIN)) {
+                self.close(id);
+            }
         }
 
         /// Attempts to cut one complete request off the buffer and hand
         /// it to the workers; on a framing error, queues the error
-        /// response (which always closes, like the blocking front end).
+        /// response (which always closes).
         fn try_dispatch(&mut self, id: u64) {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return;
@@ -536,15 +679,11 @@ mod linux {
                 return;
             }
             match try_parse_request(&conn.buf) {
-                Ok(None) => {
-                    // Half a request and a half-closed peer can never
-                    // complete; an empty buffer + EOF is just a close.
-                    if conn.peer_eof {
-                        self.close(id);
-                    }
-                }
+                Ok(None) => {}
                 Ok(Some((request, consumed))) => {
                     conn.buf.drain(..consumed);
+                    let wake = !conn.buf.is_empty() || conn.peer_eof;
+                    let fd = conn.stream.as_raw_fd();
                     let stream = match conn.stream.try_clone() {
                         Ok(s) => s,
                         Err(_) => {
@@ -556,26 +695,25 @@ mod linux {
                     let job = Job {
                         reactor: self.index,
                         conn: id,
+                        fd,
                         stream,
                         request,
+                        wake,
                     };
+                    // The one-shot event that got us here left the fd
+                    // parked until the worker re-arms it.
                     if self.job_tx.send(job).is_err() {
                         // workers are gone: tearing down
                         self.close(id);
-                        return;
                     }
-                    self.set_interest(id, 0);
                 }
-                Err(e) => {
-                    let body = handlers::error_json(&e.message()).render();
-                    let bytes = render_response(e.status(), &body, false);
-                    self.start_write(id, bytes, false);
-                }
+                Err(e) => self.start_write(id, error_response(&e), false),
             }
         }
 
-        /// A worker finished writing a response in full.
-        fn on_done(&mut self, id: u64, keep_alive: bool) {
+        /// A response is on the wire in full: close, or go back to
+        /// reading (`armed`: a worker already re-armed EPOLLIN).
+        fn finish_response(&mut self, id: u64, keep_alive: bool, armed: bool) {
             let Some(conn) = self.conns.get_mut(&id) else {
                 return;
             };
@@ -586,17 +724,8 @@ mod linux {
             }
             conn.state = State::Reading;
             conn.last = Instant::now();
-            if !self.set_interest(id, sys::EPOLLIN) {
-                self.close(id);
-                return;
-            }
             // Pipelined bytes may already hold the next request.
-            self.try_dispatch(id);
-            if let Some(conn) = self.conns.get(&id) {
-                if conn.state == State::Reading && conn.peer_eof && conn.buf.is_empty() {
-                    self.close(id);
-                }
-            }
+            self.read_on(id, armed);
         }
 
         /// Takes over a response the worker could not finish (or an
@@ -624,23 +753,8 @@ mod linux {
                 if conn.out_pos >= conn.out.len() {
                     conn.out = Vec::new();
                     conn.out_pos = 0;
-                    conn.served_any = true;
-                    if conn.close_after_write {
-                        self.close(id);
-                        return;
-                    }
-                    conn.state = State::Reading;
-                    conn.last = Instant::now();
-                    if !self.set_interest(id, sys::EPOLLIN) {
-                        self.close(id);
-                        return;
-                    }
-                    self.try_dispatch(id);
-                    if let Some(conn) = self.conns.get(&id) {
-                        if conn.state == State::Reading && conn.peer_eof && conn.buf.is_empty() {
-                            self.close(id);
-                        }
-                    }
+                    let keep_alive = !conn.close_after_write;
+                    self.finish_response(id, keep_alive, false);
                     return;
                 }
                 let pos = conn.out_pos;
@@ -670,21 +784,20 @@ mod linux {
             }
         }
 
-        /// Expires deadlines, mirroring the blocking front end: stalled
-        /// mid-request → 408 and close; idle with nothing buffered →
-        /// quiet close; a response the peer won't drain → close.
+        /// Expires deadlines: stalled mid-request → 408 and close; idle
+        /// with nothing buffered → quiet close; a response the peer won't
+        /// drain → close.
         fn sweep(&mut self, now: Instant) {
-            let request_timeout = self.serve.request_timeout;
             let mut expired: Vec<(u64, bool)> = Vec::new();
             for (&id, conn) in &self.conns {
                 let (limit, stalled_request) = match conn.state {
                     State::Busy => continue, // the worker owns the clock
-                    State::Writing => (request_timeout, false),
+                    State::Writing => (self.request_timeout, false),
                     State::Reading => {
                         let limit = if conn.served_any {
                             KEEP_ALIVE_IDLE
                         } else {
-                            request_timeout
+                            self.request_timeout
                         };
                         (limit, !conn.buf.is_empty())
                     }
@@ -695,10 +808,7 @@ mod linux {
             }
             for (id, stalled_request) in expired {
                 if stalled_request {
-                    let e = HttpError::Timeout;
-                    let body = handlers::error_json(&e.message()).render();
-                    let bytes = render_response(e.status(), &body, false);
-                    self.start_write(id, bytes, false);
+                    self.start_write(id, error_response(&HttpError::Timeout), false);
                 } else {
                     self.close(id);
                 }
@@ -716,43 +826,80 @@ mod linux {
         }
     }
 
-    /// The worker half: pull a complete request, run it through the
-    /// route/dispatch pipeline, write the response on the worker's dup of
-    /// the stream, and post the outcome back to the owning reactor. The
-    /// response write happens *here* so a request's client-visible
-    /// latency never pays a second reactor hop.
-    fn worker_loop(
-        job_rx: &Arc<Mutex<mpsc::Receiver<Job>>>,
-        shared: &Arc<ServeShared>,
+    /// Flags the daemon down and pokes the accept loop awake with a dummy
+    /// connection so it observes the flag without waiting for a real
+    /// client.
+    fn begin_shutdown(shutdown: &AtomicBool, mut addr: SocketAddr) {
+        shutdown.store(true, Ordering::SeqCst);
+        // A wildcard bind (0.0.0.0 / ::) is not a connectable address.
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+    }
+
+    /// The worker half: pull a complete request, run the daemon's handler
+    /// on it, write the response on the worker's dup of the stream, and
+    /// post the outcome back to the owning reactor. The response write
+    /// happens *here* so a request's client-visible latency never pays a
+    /// second reactor hop. A panicking handler is contained: its request
+    /// answers 500 and closes, and the worker takes the next job.
+    fn worker_loop<H>(
+        job_rx: &Mutex<mpsc::Receiver<Job>>,
+        handler: &H,
         reactors: &[Arc<ReactorHandle>],
-    ) {
+        front_end: &FrontEnd<'_>,
+        addr: SocketAddr,
+    ) where
+        H: Fn(&HttpRequest) -> Outcome + Sync,
+    {
         loop {
             let job = { job_rx.lock().unwrap().recv() };
             let Ok(job) = job else {
                 break; // reactors are gone
             };
-            let outcome = handlers::process_request(&job.request, shared);
-            let bytes = render_response(outcome.status, &outcome.body, outcome.keep_alive);
+            let handled = catch_unwind(AssertUnwindSafe(|| handler(&job.request)));
+            let panicked = handled.is_err();
+            let outcome = handled.unwrap_or_else(|_| {
+                Outcome::reply(
+                    500,
+                    error_json("internal error: the request handler panicked"),
+                )
+            });
+            // A daemon going down closes as it answers, so the reactors
+            // drain instead of waiting out every keep-alive window; a
+            // panicked handler's connection closes too.
+            let keep_alive = job.request.keep_alive
+                && !panicked
+                && !outcome.shutdown
+                && !front_end.shutdown.load(Ordering::SeqCst);
+            let bytes = render_response(outcome.status, &outcome.body, keep_alive);
             let reactor = &reactors[job.reactor];
             match write_nonblocking(&job.stream, &bytes) {
+                WriteOutcome::Complete if keep_alive && !job.wake => {
+                    reactor.rearm(job.conn, job.fd)
+                }
                 WriteOutcome::Complete => reactor.send(Msg::Done {
                     conn: job.conn,
-                    keep_alive: outcome.keep_alive,
+                    keep_alive,
                 }),
                 WriteOutcome::Partial(rest) => reactor.send(Msg::Flush {
                     conn: job.conn,
                     rest,
-                    keep_alive: outcome.keep_alive,
+                    keep_alive,
                 }),
                 WriteOutcome::Failed => reactor.send(Msg::Done {
                     conn: job.conn,
                     keep_alive: false,
                 }),
             }
-            // After the response, like the blocking front end: the
-            // shutdown answer reaches the client before the teardown.
+            // After the response: the shutdown answer reaches the client
+            // before the teardown.
             if outcome.shutdown {
-                handlers::begin_shutdown(shared);
+                begin_shutdown(front_end.shutdown, addr);
             }
         }
     }
@@ -781,139 +928,202 @@ mod linux {
         WriteOutcome::Complete
     }
 
-    /// Runs the event-driven front end until shutdown: spawns the
-    /// reactor pool and the worker pool, then accepts connections on the
-    /// caller's thread, handing each to a reactor round-robin. Returns
-    /// once every connection is drained and every thread joined; the
-    /// caller (`serve_on`) then checkpoints and stops the sessions.
-    pub(crate) fn run_front_end(
+    /// Runs the front end until shutdown: spawns the reactor pool, the
+    /// worker pool running `handler`, and the SIGTERM watcher, then
+    /// accepts connections on the caller's thread, handing each to a
+    /// reactor round-robin. Returns once every connection is drained and
+    /// every thread joined — with the shutdown flag set, also when it
+    /// fails to start, so the daemon's own background threads stop too.
+    pub(crate) fn run_front_end<H>(
         listener: TcpListener,
-        shared: &Arc<ServeShared>,
-        workers: usize,
-        reactor_threads: usize,
-    ) -> Result<(), String> {
-        raise_nofile_limit();
+        front_end: &FrontEnd<'_>,
+        handler: &H,
+    ) -> Result<(), String>
+    where
+        H: Fn(&HttpRequest) -> Outcome + Sync,
+    {
+        let result = serve_connections(listener, front_end, handler);
+        front_end.shutdown.store(true, Ordering::SeqCst);
+        result
+    }
+
+    fn serve_connections<H>(
+        listener: TcpListener,
+        front_end: &FrontEnd<'_>,
+        handler: &H,
+    ) -> Result<(), String>
+    where
+        H: Fn(&HttpRequest) -> Outcome + Sync,
+    {
+        let daemon = front_end.daemon;
+        let shutdown = front_end.shutdown;
+        let addr = listener
+            .local_addr()
+            .map_err(|e| format!("{daemon}: local_addr: {e}"))?;
         let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-
-        let mut handles: Vec<Arc<ReactorHandle>> = Vec::with_capacity(reactor_threads);
-        let mut reactor_joins = Vec::with_capacity(reactor_threads);
-        for i in 0..reactor_threads {
-            let (handle, reactor) = Reactor::new(i, job_tx.clone(), Arc::clone(shared))?;
+        let job_rx = Mutex::new(job_rx);
+        let mut handles = Vec::with_capacity(front_end.reactors);
+        let mut reactors = Vec::with_capacity(front_end.reactors);
+        for i in 0..front_end.reactors {
+            let (handle, reactor) = Reactor::new(i, job_tx.clone(), front_end)?;
             handles.push(handle);
-            reactor_joins.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-reactor-{i}"))
-                    .spawn(move || reactor.run())
-                    .map_err(|e| format!("serve: cannot spawn reactor: {e}"))?,
-            );
+            reactors.push(reactor);
         }
-        // The reactors hold the only senders now, so the workers unblock
-        // exactly when the last reactor exits.
+        // The reactors hold the only job senders now, so the workers
+        // unblock exactly when the last reactor exits.
         drop(job_tx);
+        raise_nofile_limit();
+        sigterm::install();
 
-        let mut worker_joins = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let rx = Arc::clone(&job_rx);
-            let shared = Arc::clone(shared);
-            let reactors = handles.clone();
-            worker_joins.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &shared, &reactors))
-                    .map_err(|e| format!("serve: cannot spawn worker: {e}"))?,
-            );
-        }
-
-        let mut next = 0usize;
-        for stream in listener.incoming() {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            match stream {
-                Ok(s) => {
-                    // O_NONBLOCK before the reactor ever sees the fd; the
-                    // worker's dup shares the flag. NODELAY because every
-                    // exchange is a small request/response pair.
-                    let _ = s.set_nonblocking(true);
-                    let _ = s.set_nodelay(true);
-                    handles[next % reactor_threads].send(Msg::Conn(s));
-                    next += 1;
+        std::thread::scope(|s| {
+            let spawned = (|| -> std::io::Result<()> {
+                for (i, reactor) in reactors.into_iter().enumerate() {
+                    std::thread::Builder::new()
+                        .name(format!("{daemon}-reactor-{i}"))
+                        .spawn_scoped(s, move || reactor.run())?;
                 }
-                Err(e) => eprintln!("serve: accept error: {e}"),
+                for i in 0..front_end.workers {
+                    let (job_rx, handles) = (&job_rx, &handles);
+                    std::thread::Builder::new()
+                        .name(format!("{daemon}-worker-{i}"))
+                        .spawn_scoped(s, move || {
+                            worker_loop(job_rx, handler, handles, front_end, addr)
+                        })?;
+                }
+                // The SIGTERM watcher: the same graceful shutdown as a
+                // handler's shutdown outcome; exits within a tick once
+                // the flag is set by any path.
+                std::thread::Builder::new()
+                    .name(format!("{daemon}-sigterm"))
+                    .spawn_scoped(s, move || {
+                        while !shutdown.load(Ordering::SeqCst) {
+                            if sigterm::pending() {
+                                eprintln!("flexserve {daemon}: SIGTERM — shutting down");
+                                begin_shutdown(shutdown, addr);
+                                break;
+                            }
+                            std::thread::sleep(Duration::from_millis(100));
+                        }
+                    })?;
+                Ok(())
+            })();
+            if let Err(e) = spawned {
+                // Flag the daemon down and wake what already runs, so the
+                // scope can join it.
+                shutdown.store(true, Ordering::SeqCst);
+                handles.iter().for_each(|h| h.wake());
+                return Err(format!("{daemon}: cannot spawn thread: {e}"));
             }
-        }
-        for handle in &handles {
-            handle.wake();
-        }
-        for join in reactor_joins {
-            let _ = join.join();
-        }
-        for join in worker_joins {
-            let _ = join.join();
-        }
-        Ok(())
+
+            let mut next = 0usize;
+            for stream in listener.incoming() {
+                if shutdown.load(Ordering::SeqCst) {
+                    break;
+                }
+                match stream {
+                    Ok(s) => {
+                        // O_NONBLOCK before the reactor ever sees the fd;
+                        // the worker's dup shares the flag. NODELAY
+                        // because every exchange is a small
+                        // request/response pair.
+                        let _ = s.set_nonblocking(true);
+                        let _ = s.set_nodelay(true);
+                        handles[next % handles.len()].send(Msg::Conn(s));
+                        next += 1;
+                    }
+                    Err(e) => eprintln!("{daemon}: accept error: {e}"),
+                }
+            }
+            for handle in &handles {
+                handle.wake();
+            }
+            Ok(())
+        })
     }
 }
 
-/// Non-Linux fallback: the previous blocking accept-loop + worker-pool
-/// front end, byte-identical HTTP semantics (each worker owns whole
-/// connections via `handlers::handle_connection`).
+/// Off Linux there is no epoll: the daemons refuse to start.
 #[cfg(not(target_os = "linux"))]
-pub(crate) fn run_front_end(
-    listener: std::net::TcpListener,
-    shared: &std::sync::Arc<super::ServeShared>,
-    workers: usize,
-    _reactor_threads: usize,
-) -> Result<(), String> {
-    use std::sync::atomic::Ordering;
-    use std::sync::{mpsc, Arc, Mutex};
-
-    let (conn_tx, conn_rx) = mpsc::channel::<std::net::TcpStream>();
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-    let mut joins = Vec::with_capacity(workers);
-    for i in 0..workers {
-        let rx = Arc::clone(&conn_rx);
-        let shared = Arc::clone(shared);
-        joins.push(
-            std::thread::Builder::new()
-                .name(format!("serve-worker-{i}"))
-                .spawn(move || loop {
-                    let conn = { rx.lock().unwrap().recv() };
-                    match conn {
-                        Ok(stream) => {
-                            if let Err(e) = super::handlers::handle_connection(stream, &shared) {
-                                eprintln!("serve: connection error: {e}");
-                            }
-                        }
-                        Err(_) => break, // accept loop is gone
-                    }
-                })
-                .map_err(|e| format!("serve: cannot spawn worker: {e}"))?,
-        );
-    }
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok(s) => {
-                if conn_tx.send(s).is_err() {
-                    break;
-                }
-            }
-            Err(e) => eprintln!("serve: accept error: {e}"),
-        }
-    }
-    drop(conn_tx); // workers drain the queue, then exit
-    for join in joins {
-        let _ = join.join();
-    }
-    Ok(())
+pub(crate) fn run_front_end<H>(
+    _listener: std::net::TcpListener,
+    front_end: &FrontEnd<'_>,
+    _handler: &H,
+) -> Result<(), String>
+where
+    H: Fn(&super::http::HttpRequest) -> super::http::Outcome + Sync,
+{
+    front_end
+        .shutdown
+        .store(true, std::sync::atomic::Ordering::SeqCst);
+    Err("flexserve serve/route need Linux (epoll)".into())
 }
 
 /// No rlimit shim off Linux; reports 0 ("unknown").
 #[cfg(not(target_os = "linux"))]
 pub fn raise_nofile_limit() -> u64 {
     0
+}
+
+#[cfg(all(test, target_os = "linux"))]
+mod tests {
+    use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpListener, TcpStream};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
+
+    use super::super::http::{HttpRequest, Outcome};
+    use super::{run_front_end, FrontEnd};
+
+    /// Sends one request and reads until the server closes the
+    /// connection; a read timeout (a connection left open) fails the test.
+    fn exchange(addr: SocketAddr, head: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        write!(stream, "{head}\r\nHost: t\r\n\r\n").unwrap();
+        let mut response = String::new();
+        if let Err(e) = stream.read_to_string(&mut response) {
+            panic!("{head}: connection not closed after {response:?}: {e}");
+        }
+        response
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_its_worker_survives() {
+        // a detached server thread, so a failing assertion fails the
+        // test instead of waiting on a front end that never stops
+        static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            // one worker: if the panic killed it, nothing would answer again
+            let front_end = FrontEnd {
+                daemon: "test",
+                workers: 1,
+                reactors: 1,
+                request_timeout: Duration::from_secs(5),
+                shutdown: &SHUTDOWN,
+            };
+            let handler = |request: &HttpRequest| match request.path.as_str() {
+                "/boom" => panic!("handler bug"),
+                "/shutdown" => Outcome::shutdown(),
+                _ => Outcome::reply(200, "{\"ok\":true}".into()),
+            };
+            run_front_end(listener, &front_end, &handler)
+        });
+        // the panic answers 500 and closes the (keep-alive) connection
+        let response = exchange(addr, "GET /boom HTTP/1.1");
+        assert!(response.starts_with("HTTP/1.1 500"), "{response}");
+        assert!(response.contains("Connection: close"), "{response}");
+        assert!(response.contains("panicked"), "{response}");
+        // the lone worker still serves, on a fresh connection
+        for _ in 0..2 {
+            let response = exchange(addr, "GET /ok HTTP/1.1\r\nConnection: close");
+            assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        }
+        let response = exchange(addr, "POST /shutdown HTTP/1.1");
+        assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+        server.join().unwrap().unwrap();
+    }
 }

@@ -1,19 +1,18 @@
-//! Minimal hand-rolled HTTP/1.1 plumbing for the serve daemon: request
-//! reading, response writing, and the route table mapping paths onto
-//! session operations. No external HTTP crate — the daemon speaks just
-//! enough HTTP for `curl` and the integration tests, exactly like the
-//! rest of the workspace hand-rolls its JSON.
+//! Minimal hand-rolled HTTP/1.1 plumbing for both daemons: the one
+//! request parser ([`try_parse_request`], fed by the reactor's buffers),
+//! the handler's [`Outcome`], response rendering, and the route table
+//! mapping paths onto session operations. No external HTTP crate — the
+//! daemons speak just enough HTTP for `curl` and the integration tests,
+//! exactly like the rest of the workspace hand-rolls its JSON.
 
-use std::io::BufRead;
-use std::io::Write;
-use std::net::TcpStream;
+use flexserve_workload::JsonValue;
 
 use super::sessions::DEFAULT_SESSION;
 
 /// One parsed HTTP request: the request line, the body, and whether the
 /// client wants the connection kept open afterwards (only the
 /// `Content-Length` and `Connection` headers matter).
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct HttpRequest {
     pub method: String,
     pub path: String,
@@ -22,6 +21,40 @@ pub(crate) struct HttpRequest {
     /// the client sends `Connection: close` (HTTP/1.0 defaults to close
     /// unless it asks for `keep-alive`).
     pub keep_alive: bool,
+}
+
+/// A handler's answer to one request: the status and JSON body, and
+/// whether the daemon should begin shutting down once the response is
+/// on the wire. Whether the connection survives is the front end's call.
+pub(crate) struct Outcome {
+    pub(crate) status: u16,
+    pub(crate) body: String,
+    pub(crate) shutdown: bool,
+}
+
+impl Outcome {
+    /// An ordinary response.
+    pub(crate) fn reply(status: u16, body: String) -> Self {
+        Outcome {
+            status,
+            body,
+            shutdown: false,
+        }
+    }
+
+    /// The `POST /shutdown` answer: `{"ok":true}`, then the daemon drains.
+    pub(crate) fn shutdown() -> Self {
+        Outcome {
+            status: 200,
+            body: JsonValue::Obj(vec![("ok".into(), JsonValue::Bool(true))]).render(),
+            shutdown: true,
+        }
+    }
+}
+
+/// The `{"error": "<message>"}` body every error response carries.
+pub(crate) fn error_json(message: &str) -> String {
+    JsonValue::Obj(vec![("error".into(), JsonValue::from(message))]).render()
 }
 
 /// Per-line cap on the request line and each header line.
@@ -37,7 +70,7 @@ const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 #[derive(Debug)]
 pub(crate) enum HttpError {
     /// The connection stalled mid-request — bytes were received, then the
-    /// read timeout fired (408).
+    /// request timeout expired (408).
     Timeout,
     /// A header line, the header block, or the declared body exceeds its
     /// cap (413).
@@ -65,117 +98,6 @@ impl HttpError {
     }
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Reads one `\n`-terminated line of at most [`MAX_HEADER_LINE`] bytes
-/// into `line`, returning the bytes read (0 = EOF). Reading through a
-/// `take` bounds memory *before* the terminator check: a gigabyte header
-/// line trips the cap after 8 KiB instead of being buffered whole.
-fn read_line_capped<R: BufRead>(reader: &mut R, line: &mut String) -> Result<usize, HttpError> {
-    let mut limited = std::io::Read::take(&mut *reader, (MAX_HEADER_LINE + 1) as u64);
-    let n = limited.read_line(line).map_err(|e| {
-        if is_timeout(&e) {
-            HttpError::Timeout
-        } else {
-            HttpError::Malformed(format!("read header: {e}"))
-        }
-    })?;
-    if line.len() > MAX_HEADER_LINE {
-        return Err(HttpError::TooLarge(format!(
-            "header line exceeds the {MAX_HEADER_LINE}-byte cap"
-        )));
-    }
-    Ok(n)
-}
-
-/// Reads one HTTP request from `reader`. `Ok(None)` is a clean end of the
-/// connection: the client closed (EOF) or idled past the read timeout
-/// *between* requests — normal in a keep-alive loop, never an error.
-/// Every read is bounded: header lines at [`MAX_HEADER_LINE`], the header
-/// block at [`MAX_HEADER_BYTES`], the body at [`MAX_BODY_BYTES`], and a
-/// timeout mid-request surfaces as [`HttpError::Timeout`] (408) instead
-/// of holding the worker hostage to a stalled client.
-pub(crate) fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<HttpRequest>, HttpError> {
-    let mut line = String::new();
-    match read_line_capped(reader, &mut line) {
-        Ok(0) => return Ok(None), // client closed between requests
-        Ok(_) => {}
-        // An idle timeout with nothing received yet is a quiet close; a
-        // timeout mid-request-line means the client stalled (408).
-        Err(HttpError::Timeout) if line.is_empty() => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let mut header_bytes = line.len();
-    let mut parts = line.split_whitespace();
-    let method = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("empty request line".into()))?
-        .to_string();
-    let path = parts
-        .next()
-        .ok_or_else(|| HttpError::Malformed("request line has no path".into()))?
-        .to_string();
-    // HTTP/1.1 (and anything newer) defaults to persistent connections;
-    // a bare HTTP/1.0 client must opt in.
-    let mut keep_alive = parts.next() != Some("HTTP/1.0");
-
-    let mut content_length = 0usize;
-    loop {
-        let mut header = String::new();
-        let n = read_line_capped(reader, &mut header)?;
-        if n == 0 || header.trim().is_empty() {
-            break;
-        }
-        header_bytes += n;
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(HttpError::TooLarge(format!(
-                "header block exceeds the {MAX_HEADER_BYTES}-byte cap"
-            )));
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value
-                    .trim()
-                    .parse()
-                    .map_err(|_| HttpError::Malformed(format!("bad Content-Length {value:?}")))?;
-            } else if name.eq_ignore_ascii_case("connection") {
-                let value = value.trim();
-                if value.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
-                } else if value.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
-                }
-            }
-        }
-    }
-    if content_length > MAX_BODY_BYTES {
-        return Err(HttpError::TooLarge(format!(
-            "body of {content_length} bytes exceeds the 16 MiB cap"
-        )));
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).map_err(|e| {
-        if is_timeout(&e) {
-            HttpError::Timeout
-        } else {
-            HttpError::Malformed(format!("read body: {e}"))
-        }
-    })?;
-    let body =
-        String::from_utf8(body).map_err(|_| HttpError::Malformed("body is not UTF-8".into()))?;
-    Ok(Some(HttpRequest {
-        method,
-        path,
-        body,
-        keep_alive,
-    }))
-}
-
 /// Finds the next `\n` at or after `from`.
 fn find_nl(buf: &[u8], from: usize) -> Option<usize> {
     buf[from..]
@@ -184,14 +106,16 @@ fn find_nl(buf: &[u8], from: usize) -> Option<usize> {
         .map(|i| from + i)
 }
 
-/// Incremental counterpart of [`read_request`] for the epoll front end:
-/// parses one request out of a reactor's accumulated byte buffer.
+/// Parses one request out of a reactor's accumulated byte buffer.
 /// Returns `Ok(None)` while the buffer holds only a request prefix,
 /// `Ok(Some((request, consumed)))` once a whole request (headers + body)
 /// is present — `consumed` bytes belong to it and any remainder is the
-/// next pipelined request — and `Err` exactly where [`read_request`]
-/// would fail, with the same cap thresholds and messages (pinned by the
-/// `incremental_parse_agrees_with_read_request` test below).
+/// next pipelined request — and `Err` once the bytes so far can never
+/// frame a request. Every cap fires as soon as enough bytes have
+/// arrived to cross it: header lines at [`MAX_HEADER_LINE`], the header
+/// block at [`MAX_HEADER_BYTES`], a declared body at [`MAX_BODY_BYTES`]
+/// (before any of it is buffered). The property suite below pins that
+/// the answer never depends on where the buffer was cut.
 pub(crate) fn try_parse_request(buf: &[u8]) -> Result<Option<(HttpRequest, usize)>, HttpError> {
     let line_too_large = || {
         HttpError::TooLarge(format!(
@@ -247,7 +171,7 @@ pub(crate) fn try_parse_request(buf: &[u8]) -> Result<Option<(HttpRequest, usize
         let line_len = hnl + 1 - pos;
         pos = hnl + 1;
         if header.trim().is_empty() {
-            break; // blank line ends the headers (uncounted, as in read_request)
+            break; // a blank line ends the headers (and is not counted)
         }
         header_bytes += line_len;
         if header_bytes > MAX_HEADER_BYTES {
@@ -309,27 +233,11 @@ pub(crate) fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a JSON response. With `keep_alive` the connection stays open
-/// for the next request of the per-connection loop (`Connection:
-/// keep-alive`); without it the exchange is closed (`Connection: close`).
-/// Bodies always carry an exact `Content-Length`, so persistent
+/// Renders a full JSON response to bytes. With `keep_alive` the
+/// connection stays open for the next request (`Connection:
+/// keep-alive`); without it the exchange is closed (`Connection:
+/// close`). Bodies always carry an exact `Content-Length`, so persistent
 /// connections stay framed.
-pub(crate) fn respond_json(
-    stream: &mut TcpStream,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> Result<(), String> {
-    let response = render_response(status, body, keep_alive);
-    stream
-        .write_all(&response)
-        .and_then(|()| stream.flush())
-        .map_err(|e| format!("write response: {e}"))
-}
-
-/// Renders a full JSON response to bytes — the wire format behind
-/// [`respond_json`], split out so the epoll front end's workers and
-/// reactors can write it nonblockingly themselves.
 pub(crate) fn render_response(status: u16, body: &str, keep_alive: bool) -> Vec<u8> {
     let mut body = body.to_string();
     if !body.ends_with('\n') {
@@ -412,6 +320,7 @@ pub(crate) const ENDPOINT_LIST: &str = "POST /sessions, GET /sessions, \
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn routes_resolve_sessions_and_legacy_aliases() {
@@ -459,29 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn read_request_parses_connection_semantics() {
-        let parse = |raw: &str| read_request(&mut raw.as_bytes()).unwrap();
-        // HTTP/1.1 defaults to keep-alive
-        let req = parse("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        assert!(req.keep_alive);
-        assert_eq!(req.method, "GET");
-        assert_eq!(req.path, "/metrics");
-        // explicit close wins
-        let req = parse("GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
-        assert!(!req.keep_alive);
-        // HTTP/1.0 defaults to close, opts back in with keep-alive
-        let req = parse("GET /metrics HTTP/1.0\r\n\r\n").unwrap();
-        assert!(!req.keep_alive);
-        let req = parse("GET /m HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").unwrap();
-        assert!(req.keep_alive);
-        // body framing is unchanged
-        let req = parse("POST /step HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd").unwrap();
-        assert_eq!(req.body, "abcd");
-        // EOF between requests is a clean end, not an error
-        assert!(parse("").is_none());
-    }
-
-    #[test]
     fn bad_routes_are_none() {
         assert_eq!(route("GET", "/step"), None); // wrong method
         assert_eq!(route("GET", "/sessions/a/events"), None); // wrong method
@@ -492,61 +378,38 @@ mod tests {
         assert_eq!(route("GET", "/nope"), None);
     }
 
-    #[test]
-    fn oversized_requests_are_413() {
-        // a single runaway request line
-        let raw = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(9_000));
-        let err = read_request(&mut raw.as_bytes()).unwrap_err();
-        assert_eq!(err.status(), 413);
-        assert!(err.message().contains("header line"), "{}", err.message());
-        // a runaway header line
-        let raw = format!("GET /m HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "y".repeat(9_000));
-        assert_eq!(read_request(&mut raw.as_bytes()).unwrap_err().status(), 413);
-        // many medium header lines trip the block cap
-        let mut raw = String::from("GET /m HTTP/1.1\r\n");
-        for i in 0..10 {
-            raw.push_str(&format!("X-Pad-{i}: {}\r\n", "z".repeat(4_000)));
-        }
-        raw.push_str("\r\n");
-        let err = read_request(&mut raw.as_bytes()).unwrap_err();
-        assert_eq!(err.status(), 413);
-        assert!(err.message().contains("header block"), "{}", err.message());
-        // a declared body beyond the 16 MiB cap is refused before reading
-        let raw = "POST /step HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n";
-        let err = read_request(&mut raw.as_bytes()).unwrap_err();
-        assert_eq!(err.status(), 413);
-        assert!(err.message().contains("16 MiB"), "{}", err.message());
+    /// Parses a buffer that must hold exactly one whole request.
+    fn parse_whole(raw: &str) -> HttpRequest {
+        let (request, consumed) = try_parse_request(raw.as_bytes()).unwrap().unwrap();
+        assert_eq!(consumed, raw.len(), "{raw:?}");
+        request
     }
 
-    /// The incremental parser must agree with the streaming one byte for
-    /// byte: same requests, same consumed lengths, same cap errors — and
-    /// return `Ok(None)` on every strict prefix of a valid request.
     #[test]
-    fn incremental_parse_agrees_with_read_request() {
-        let cases = [
-            "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n",
-            "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n",
-            "GET /metrics HTTP/1.0\r\n\r\n",
-            "GET /m HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n",
-            "POST /step HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd",
-        ];
-        for raw in cases {
-            let streamed = read_request(&mut raw.as_bytes()).unwrap().unwrap();
-            let (incremental, consumed) = try_parse_request(raw.as_bytes()).unwrap().unwrap();
-            assert_eq!(consumed, raw.len(), "{raw:?}");
-            assert_eq!(incremental.method, streamed.method);
-            assert_eq!(incremental.path, streamed.path);
-            assert_eq!(incremental.body, streamed.body);
-            assert_eq!(incremental.keep_alive, streamed.keep_alive);
-            // every strict prefix is "keep reading", never an error
-            for cut in 0..raw.len() {
-                assert!(
-                    try_parse_request(&raw.as_bytes()[..cut]).unwrap().is_none(),
-                    "prefix of {raw:?} at {cut}"
-                );
-            }
-        }
-        // pipelined requests: the first parse consumes exactly one
+    fn parses_connection_semantics() {
+        // HTTP/1.1 defaults to keep-alive
+        let req = parse_whole("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert!(req.keep_alive);
+        assert_eq!(req.method, "GET");
+        assert_eq!(req.path, "/metrics");
+        // explicit close wins
+        let req = parse_whole("GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
+        assert!(!req.keep_alive);
+        // HTTP/1.0 defaults to close, opts back in with keep-alive
+        let req = parse_whole("GET /metrics HTTP/1.0\r\n\r\n");
+        assert!(!req.keep_alive);
+        let req = parse_whole("GET /m HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n");
+        assert!(req.keep_alive);
+        // body framing
+        let req = parse_whole("POST /step HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd");
+        assert_eq!(req.body, "abcd");
+        // nothing received yet (a connection between requests) is "keep
+        // reading", never an error
+        assert!(try_parse_request(b"").unwrap().is_none());
+    }
+
+    #[test]
+    fn pipelined_requests_parse_one_at_a_time() {
         let two = "GET /metrics HTTP/1.1\r\n\r\nPOST /step HTTP/1.1\r\nContent-Length: 2\r\n\r\nok";
         let (first, consumed) = try_parse_request(two.as_bytes()).unwrap().unwrap();
         assert_eq!(first.path, "/metrics");
@@ -558,8 +421,8 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parse_enforces_the_same_caps() {
-        // runaway request line: same status and message as read_request
+    fn oversized_requests_are_413() {
+        // a single runaway request line...
         let raw = format!("GET /{} HTTP/1.1\r\n\r\n", "x".repeat(9_000));
         let err = try_parse_request(raw.as_bytes()).unwrap_err();
         assert_eq!(err.status(), 413);
@@ -567,7 +430,10 @@ mod tests {
         // ... even before the newline ever arrives
         let err = try_parse_request("G".repeat(9_000).as_bytes()).unwrap_err();
         assert_eq!(err.status(), 413);
-        // header-block cap
+        // a runaway header line
+        let raw = format!("GET /m HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "y".repeat(9_000));
+        assert_eq!(try_parse_request(raw.as_bytes()).unwrap_err().status(), 413);
+        // many medium header lines trip the block cap
         let mut raw = String::from("GET /m HTTP/1.1\r\n");
         for i in 0..10 {
             raw.push_str(&format!("X-Pad-{i}: {}\r\n", "z".repeat(4_000)));
@@ -576,18 +442,29 @@ mod tests {
         let err = try_parse_request(raw.as_bytes()).unwrap_err();
         assert_eq!(err.status(), 413);
         assert!(err.message().contains("header block"), "{}", err.message());
-        // declared-body cap fires before the body arrives
+        // a declared body beyond the 16 MiB cap is refused before it arrives
         let raw = "POST /step HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n";
         let err = try_parse_request(raw.as_bytes()).unwrap_err();
         assert_eq!(err.status(), 413);
         assert!(err.message().contains("16 MiB"), "{}", err.message());
-        // malformed framing is still a 400
-        let raw = "POST /step HTTP/1.1\r\nContent-Length: nope\r\n\r\n";
-        assert_eq!(try_parse_request(raw.as_bytes()).unwrap_err().status(), 400);
     }
 
     #[test]
-    fn render_response_matches_respond_json_wire_format() {
+    fn malformed_framing_is_400() {
+        for raw in [
+            &b"POST /step HTTP/1.1\r\nContent-Length: nope\r\n\r\n"[..],
+            b"\r\n\r\n",
+            b"GET\r\n\r\n",
+            b"GET /\xff HTTP/1.1\r\n\r\n",
+            b"POST /step HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xff\xfe",
+        ] {
+            let err = try_parse_request(raw).unwrap_err();
+            assert_eq!(err.status(), 400, "{raw:?}: {}", err.message());
+        }
+    }
+
+    #[test]
+    fn render_response_wire_format() {
         let bytes = render_response(200, "{\"ok\":true}", true);
         let text = String::from_utf8(bytes).unwrap();
         assert_eq!(
@@ -602,35 +479,193 @@ mod tests {
         assert!(text.ends_with("\r\n\r\n{}\n"));
     }
 
-    /// A reader that yields its bytes, then stalls with the timeout error
-    /// a blocking socket read returns when `set_read_timeout` fires.
-    struct Stall<'a>(&'a [u8]);
+    /// One generated request: method, path segments, version and line
+    /// ending, `Connection` variant, extra headers, body characters.
+    type Spec = (usize, Vec<u64>, usize, usize, Vec<(u64, usize)>, Vec<u32>);
 
-    impl std::io::Read for Stall<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            if self.0.is_empty() {
-                return Err(std::io::Error::new(std::io::ErrorKind::WouldBlock, "stall"));
-            }
-            let n = self.0.len().min(buf.len());
-            buf[..n].copy_from_slice(&self.0[..n]);
-            self.0 = &self.0[n..];
-            Ok(n)
-        }
+    fn spec_strategy() -> impl Strategy<Value = Spec> {
+        (
+            0usize..5,
+            prop::collection::vec(0u64..1000, 0..4),
+            0usize..4,
+            0usize..6,
+            prop::collection::vec((0u64..100, 0usize..40), 0..4),
+            prop::collection::vec(0u32..96, 0..48),
+        )
     }
 
-    #[test]
-    fn stalled_requests_are_408_but_idle_connections_close_quietly() {
-        // nothing received yet: the keep-alive idle case, a quiet close
-        let mut idle = std::io::BufReader::new(Stall(b""));
-        assert!(read_request(&mut idle).unwrap().is_none());
-        // a stall mid-request-line holds half a request: 408
-        let mut stalled = std::io::BufReader::new(Stall(b"GET /metr"));
-        let err = read_request(&mut stalled).unwrap_err();
-        assert_eq!(err.status(), 408);
-        // a stall mid-body: also 408
-        let mut stalled =
-            std::io::BufReader::new(Stall(b"POST /step HTTP/1.1\r\nContent-Length: 8\r\n\r\nab"));
-        let err = read_request(&mut stalled).unwrap_err();
-        assert_eq!(err.status(), 408);
+    /// Renders a [`Spec`] to wire bytes plus the request the parser must
+    /// return for them.
+    fn build(spec: &Spec) -> (Vec<u8>, HttpRequest) {
+        let (method, segments, version, connection, headers, body) = spec;
+        let method = ["GET", "POST", "PUT", "DELETE", "PATCH"][*method].to_string();
+        let path = format!(
+            "/{}",
+            segments
+                .iter()
+                .map(|s| format!("s{s}"))
+                .collect::<Vec<_>>()
+                .join("/")
+        );
+        let http10 = version % 2 == 1;
+        let eol = if *version < 2 { "\r\n" } else { "\n" };
+        // printable ASCII plus one two-byte character
+        let body: String = body
+            .iter()
+            .map(|&c| {
+                char::from_u32(32 + c)
+                    .filter(|c| *c != '\x7f')
+                    .unwrap_or('é')
+            })
+            .collect();
+        let mut keep_alive = !http10;
+        let mut raw = format!(
+            "{method} {path} HTTP/1.{}{eol}Host: t{eol}",
+            if http10 { 0 } else { 1 }
+        );
+        let value = ["", "close", "keep-alive", "Keep-Alive", "CLOSE", "upgrade"][*connection];
+        match *connection {
+            0 => {}
+            1 | 4 => keep_alive = false,
+            2 | 3 => keep_alive = true,
+            _ => {}
+        }
+        if !value.is_empty() {
+            raw.push_str(&format!("Connection: {value}{eol}"));
+        }
+        for (name, len) in headers {
+            raw.push_str(&format!("X-H{name}: {}{eol}", "v".repeat(*len)));
+        }
+        if !body.is_empty() || segments.len() % 2 == 1 {
+            let name = if headers.is_empty() {
+                "Content-Length"
+            } else {
+                "content-length"
+            };
+            raw.push_str(&format!("{name}: {}{eol}", body.len()));
+        }
+        raw.push_str(eol);
+        raw.push_str(&body);
+        let request = HttpRequest {
+            method,
+            path,
+            body,
+            keep_alive,
+        };
+        (raw.into_bytes(), request)
+    }
+
+    /// Maps fractions of a length onto sorted cut points.
+    fn cut_points(fractions: &[f64], len: usize) -> Vec<usize> {
+        let mut cuts: Vec<usize> = fractions
+            .iter()
+            .map(|f| ((f * len as f64) as usize).min(len))
+            .collect();
+        cuts.sort_unstable();
+        cuts
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Split-point invariance: every strict prefix of a valid request
+        /// is "keep reading"; any buffer holding all of it yields the same
+        /// request and `consumed`, a pipelined follow-up notwithstanding;
+        /// and a reactor-style feed in arbitrary chunks parses exactly
+        /// the requests the whole buffer holds.
+        #[test]
+        fn any_chunking_parses_like_the_whole_buffer(
+            first in spec_strategy(),
+            second in spec_strategy(),
+            pipelined in 0usize..2,
+            fractions in prop::collection::vec(0.0f64..1.0, 0..6),
+        ) {
+            let (mut wire, first_request) = build(&first);
+            let first_len = wire.len();
+            let mut want = vec![first_request];
+            if pipelined == 1 {
+                let (more, second_request) = build(&second);
+                wire.extend_from_slice(&more);
+                want.push(second_request);
+            }
+            for cut in 0..first_len {
+                let parsed = try_parse_request(&wire[..cut]);
+                prop_assert!(matches!(parsed, Ok(None)), "prefix {} of {:?}", cut, wire);
+            }
+            for cut in first_len..=wire.len() {
+                let (request, consumed) = try_parse_request(&wire[..cut]).unwrap().unwrap();
+                prop_assert_eq!(consumed, first_len, "cut {}", cut);
+                prop_assert_eq!(&request, &want[0], "cut {}", cut);
+            }
+            let mut buf = Vec::new();
+            let mut got = Vec::new();
+            let mut from = 0;
+            let mut cuts = cut_points(&fractions, wire.len());
+            cuts.push(wire.len());
+            for cut in cuts {
+                buf.extend_from_slice(&wire[from..cut]);
+                from = cut;
+                while let Some((request, consumed)) = try_parse_request(&buf).unwrap() {
+                    got.push(request);
+                    buf.drain(..consumed);
+                }
+            }
+            prop_assert!(buf.is_empty(), "{} bytes left over", buf.len());
+            prop_assert_eq!(got, want);
+        }
+
+        /// Every cap fails with 413 and its own message at exactly the
+        /// byte that crosses it, and at every cut after; before that
+        /// byte the parser keeps reading.
+        #[test]
+        fn caps_fail_once_enough_bytes_have_arrived(
+            kind in 0usize..4,
+            lead in prop::collection::vec((0u64..100, 0usize..40), 0..4),
+            excess in 1usize..2000,
+            fractions in prop::collection::vec(0.0f64..1.0, 8..16),
+        ) {
+            let mut raw = String::from("POST /x HTTP/1.1\r\n");
+            if kind == 0 {
+                raw = format!("GET /{} HTTP/1.1\r\n", "p".repeat(MAX_HEADER_LINE + excess));
+            }
+            for (name, len) in &lead {
+                raw.push_str(&format!("X-H{name}: {}\r\n", "v".repeat(*len)));
+            }
+            let (threshold, message) = match kind {
+                0 => (MAX_HEADER_LINE + 1, "header line"),
+                1 => {
+                    let at = raw.len();
+                    raw.push_str(&format!("X-Pad: {}\r\n", "y".repeat(MAX_HEADER_LINE + excess)));
+                    (at + MAX_HEADER_LINE + 1, "header line")
+                }
+                2 => {
+                    // lines under the line cap, until the block crosses its cap
+                    let pad = format!("X-Pad: {}\r\n", "z".repeat(2_000 + 3 * excess));
+                    while raw.len() + pad.len() <= MAX_HEADER_BYTES {
+                        raw.push_str(&pad);
+                    }
+                    raw.push_str(&pad);
+                    (raw.len(), "header block")
+                }
+                _ => {
+                    raw.push_str(&format!("Content-Length: {}\r\n\r\n", MAX_BODY_BYTES + excess));
+                    (raw.len(), "16 MiB")
+                }
+            };
+            raw.push_str("\r\nabc");
+            let wire = raw.as_bytes();
+            let mut cuts = cut_points(&fractions, wire.len());
+            cuts.extend([0, threshold - 1, threshold, threshold + 1, wire.len()]);
+            for cut in cuts {
+                let parsed = try_parse_request(&wire[..cut]);
+                if cut < threshold {
+                    prop_assert!(matches!(parsed, Ok(None)), "kind {} cut {} < {}", kind, cut, threshold);
+                } else {
+                    let err = parsed.unwrap_err();
+                    prop_assert_eq!(err.status(), 413, "kind {} cut {}", kind, cut);
+                    prop_assert!(err.message().contains(message), "kind {}: {}", kind, err.message());
+                }
+            }
+        }
     }
 }

@@ -33,6 +33,12 @@
 //! `docs/CLUSTER.md`). A probe success while down marks the worker back
 //! up and re-syncs the ring.
 //!
+//! **Front end**: the router runs the serve daemon's epoll front end
+//! (`event_loop.rs`) with `dispatch` as its handler. Idle client
+//! connections cost the reactors an fd each; the `threads=` pool only
+//! runs complete requests, blocking in their proxied exchanges, so idle
+//! keep-alive clients can never starve it.
+//!
 //! Deployment assumption: workers share a filesystem (checkpoint hand-off
 //! is path-based). Lock discipline: the router state mutex is an *inner*
 //! lock — it is never held while acquiring a per-session mutex, and each
@@ -44,19 +50,23 @@ pub mod ring;
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
-use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use flexserve_workload::JsonValue;
 
-use super::handlers::KEEP_ALIVE_IDLE;
-use super::http::{read_request, respond_json, Route};
+use super::event_loop::{run_front_end, FrontEnd};
+use super::http::{error_json, HttpRequest, Outcome, Route};
 use super::sessions::SessionConfig;
 use crate::spec::CellBuilder;
 use proxy::http_call;
 use ring::HashRing;
+
+/// Reactor threads of the router's front end (the serve daemon's
+/// `reactor-threads=` default; the router takes no key for it).
+const REACTORS: usize = 2;
 
 /// Parsed `flexserve route` options: the worker fleet plus the router's
 /// own server shape.
@@ -68,7 +78,8 @@ pub struct RouteOptions {
     pub bind: IpAddr,
     /// Listener port (default 7787; 0 = ephemeral, announced on stdout).
     pub port: u16,
-    /// HTTP worker threads handling router connections.
+    /// Front-end worker threads running router requests, each blocking
+    /// for the length of its proxied exchanges.
     pub threads: usize,
     /// Virtual ring points per worker.
     pub replicas: usize,
@@ -89,7 +100,7 @@ usage: flexserve route workers=<host:port>+<host:port>... [key=value...]
 router keys: workers=<addr>+<addr>+... (the worker fleet; required),
              port (default 7787, 0 = ephemeral),
              bind=<ip>[:<port>] (default 127.0.0.1),
-             threads=<n> (HTTP pool; default 4),
+             threads=<n> (pool for proxied exchanges; default 4),
              replicas=<n> (ring points per worker; default 32),
              health-interval=<secs> (worker probe period; default 2),
              mark-down=<k> (probe failures before mark-down; default 3),
@@ -234,11 +245,10 @@ struct RouterState {
     sessions: HashMap<String, Arc<Mutex<SessionRoute>>>,
 }
 
-/// State every router HTTP thread shares.
+/// State every router thread shares.
 struct RouterShared {
     state: Mutex<RouterState>,
     shutdown: AtomicBool,
-    addr: SocketAddr,
     timeout: Duration,
     mark_down: u32,
     skew: Option<u64>,
@@ -250,10 +260,6 @@ impl RouterShared {
     fn probe_timeout(&self) -> Duration {
         self.timeout.min(Duration::from_secs(1))
     }
-}
-
-fn error_json(message: &str) -> String {
-    JsonValue::Obj(vec![("error".into(), JsonValue::from(message))]).render()
 }
 
 /// The 404 body's endpoint inventory for the router (kept in sync with
@@ -1004,86 +1010,28 @@ fn forward_session_op(route: Route, body: &str, shared: &RouterShared) -> (u16, 
     }
 }
 
-fn dispatch(route: RouterRoute, body: &str, shared: &RouterShared) -> (u16, String) {
-    match route {
-        RouterRoute::Cluster => cluster_view(shared),
-        RouterRoute::Join => join_worker(body, shared),
-        RouterRoute::Drain(addr) => drain_worker(&addr, shared),
-        RouterRoute::Proxy(Route::CreateSession) => create_session(body, shared),
-        RouterRoute::Proxy(Route::ListSessions) => list_sessions(shared),
-        RouterRoute::Proxy(Route::DeleteSession(name)) => delete_session(&name, body, shared),
-        RouterRoute::Proxy(op) => forward_session_op(op, body, shared),
-        RouterRoute::Shutdown => unreachable!("handled by the connection loop"),
-    }
-}
-
-/// Flags the router down and pokes its accept loop awake (the same
-/// self-poke as the serve daemon's shutdown path).
-fn begin_shutdown(shared: &RouterShared) {
-    shared.shutdown.store(true, Ordering::SeqCst);
-    let mut addr = shared.addr;
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr.ip() {
-            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-            IpAddr::V6(_) => IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-        });
-    }
-    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
-}
-
-/// Handles one router connection: the same keep-alive request loop as
-/// the serve daemon's, dispatching to the router surface.
-fn handle_connection(stream: TcpStream, shared: &RouterShared) -> Result<(), String> {
-    let _ = stream.set_read_timeout(Some(shared.timeout));
-    let _ = stream.set_write_timeout(Some(shared.timeout));
-    let mut reader = std::io::BufReader::new(stream);
-    loop {
-        let request = match read_request(&mut reader) {
-            Ok(Some(req)) => req,
-            Ok(None) => return Ok(()),
-            Err(e) => {
-                return respond_json(
-                    reader.get_mut(),
-                    e.status(),
-                    &error_json(&e.message()),
-                    false,
-                )
-            }
-        };
-        let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
-        let out = reader.get_mut();
-        match router_route(&request.method, &request.path) {
-            None => {
-                respond_json(
-                    out,
-                    404,
-                    &error_json(&format!(
-                        "no {} {}; endpoints: {ROUTER_ENDPOINT_LIST}",
-                        request.method, request.path
-                    )),
-                    keep_alive,
-                )?;
-            }
-            Some(RouterRoute::Shutdown) => {
-                respond_json(
-                    out,
-                    200,
-                    &JsonValue::Obj(vec![("ok".into(), JsonValue::Bool(true))]).render(),
-                    false,
-                )?;
-                begin_shutdown(shared);
-                return Ok(());
-            }
-            Some(resolved) => {
-                let (status, body) = dispatch(resolved, &request.body, shared);
-                respond_json(out, status, &body, keep_alive)?;
-            }
-        }
-        if !keep_alive {
-            return Ok(());
-        }
-        let _ = reader.get_ref().set_read_timeout(Some(KEEP_ALIVE_IDLE));
-    }
+/// The router's request handler: the router surface, the relayed
+/// session surface, and the 404 listing both.
+fn dispatch(request: &HttpRequest, shared: &RouterShared) -> Outcome {
+    let body = request.body.as_str();
+    let (status, reply) = match router_route(&request.method, &request.path) {
+        None => (
+            404,
+            error_json(&format!(
+                "no {} {}; endpoints: {ROUTER_ENDPOINT_LIST}",
+                request.method, request.path
+            )),
+        ),
+        Some(RouterRoute::Shutdown) => return Outcome::shutdown(),
+        Some(RouterRoute::Cluster) => cluster_view(shared),
+        Some(RouterRoute::Join) => join_worker(body, shared),
+        Some(RouterRoute::Drain(addr)) => drain_worker(&addr, shared),
+        Some(RouterRoute::Proxy(Route::CreateSession)) => create_session(body, shared),
+        Some(RouterRoute::Proxy(Route::ListSessions)) => list_sessions(shared),
+        Some(RouterRoute::Proxy(Route::DeleteSession(name))) => delete_session(&name, body, shared),
+        Some(RouterRoute::Proxy(op)) => forward_session_op(op, body, shared),
+    };
+    Outcome::reply(status, reply)
 }
 
 /// Binds `bind:port` and routes until `POST /shutdown`. Shutting the
@@ -1131,7 +1079,6 @@ pub fn run_on(listener: TcpListener, opts: &RouteOptions) -> Result<(), String> 
             sessions: HashMap::new(),
         }),
         shutdown: AtomicBool::new(false),
-        addr,
         timeout: opts.request_timeout,
         mark_down: opts.mark_down,
         skew: opts.skew,
@@ -1180,70 +1127,22 @@ pub fn run_on(listener: TcpListener, opts: &RouteOptions) -> Result<(), String> 
             .map_err(|e| format!("route: cannot spawn health thread: {e}"))?
     };
 
-    // SIGTERM stops the router like POST /shutdown (workers unaffected).
-    #[cfg(unix)]
-    let term_watcher = {
-        super::sigterm::install();
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("route-sigterm".into())
-            .spawn(move || {
-                while !shared.shutdown.load(Ordering::SeqCst) {
-                    if super::sigterm::pending() {
-                        eprintln!("flexserve route: SIGTERM — shutting down");
-                        begin_shutdown(&shared);
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(100));
-                }
-            })
-            .map_err(|e| format!("route: cannot spawn sigterm watcher: {e}"))?
+    // The serve daemon's front end, with the router's handler: its
+    // workers block in the proxied exchanges, while idle client
+    // connections cost the reactors an fd each. SIGTERM stops the router
+    // like POST /shutdown (workers unaffected).
+    let front_end = FrontEnd {
+        daemon: "route",
+        workers: opts.threads,
+        reactors: REACTORS,
+        request_timeout: opts.request_timeout,
+        shutdown: &shared.shutdown,
     };
-
-    let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-    let mut pool = Vec::with_capacity(opts.threads);
-    for i in 0..opts.threads {
-        let rx = Arc::clone(&conn_rx);
-        let shared = Arc::clone(&shared);
-        let thread = std::thread::Builder::new()
-            .name(format!("route-worker-{i}"))
-            .spawn(move || loop {
-                let conn = { rx.lock().unwrap().recv() };
-                match conn {
-                    Ok(stream) => {
-                        if let Err(e) = handle_connection(stream, &shared) {
-                            eprintln!("route: connection error: {e}");
-                        }
-                    }
-                    Err(_) => break,
-                }
-            })
-            .map_err(|e| format!("route: cannot spawn worker: {e}"))?;
-        pool.push(thread);
-    }
-
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match stream {
-            Ok(s) => {
-                if conn_tx.send(s).is_err() {
-                    break;
-                }
-            }
-            Err(e) => eprintln!("route: accept error: {e}"),
-        }
-    }
-    drop(conn_tx);
-    for thread in pool {
-        let _ = thread.join();
-    }
+    let served = run_front_end(listener, &front_end, &|request: &HttpRequest| {
+        dispatch(request, &shared)
+    });
     let _ = health.join();
-    #[cfg(unix)]
-    let _ = term_watcher.join();
-    Ok(())
+    served
 }
 
 /// CLI entry point for `flexserve route <args>`.

@@ -791,3 +791,185 @@ fn merged_listings_annotate_workers_and_expose_tombstones() {
     let _ = std::fs::remove_file(&ck_a);
     let _ = std::fs::remove_file(&ck_b);
 }
+
+/// Sends one keep-alive request on `stream` and reads exactly its
+/// response (headers plus `Content-Length` body), leaving the connection
+/// open. Returns the status.
+fn keep_alive_exchange(stream: &TcpStream, method: &str, path: &str) -> u16 {
+    write!(
+        &*stream,
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n"
+    )
+    .expect("send");
+    let mut reader = BufReader::new(stream);
+    let mut status_line = String::new();
+    reader.read_line(&mut status_line).expect("status line");
+    let mut content_length = 0usize;
+    loop {
+        let mut header = String::new();
+        reader.read_line(&mut header).expect("header");
+        if header.trim().is_empty() {
+            break;
+        }
+        if let Some((name, value)) = header.split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                content_length = value.trim().parse().expect("content length");
+            }
+        }
+    }
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body).expect("body");
+    status_line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status code")
+}
+
+/// As many idle keep-alive clients as the router has `threads=` must not
+/// stall anyone else: idle connections cost the router's reactors an fd
+/// each, never a worker, so a third client is answered at once instead
+/// of after the keep-alive window.
+#[test]
+fn idle_keep_alive_clients_do_not_stall_the_router() {
+    let (wa, ha) = start_worker("stall-a", &[]);
+    let (router, hr) = start_router(
+        std::slice::from_ref(&wa),
+        &["threads=2", "health-interval=60"],
+    );
+    // two clients, one completed request each, then idle
+    let idle: Vec<TcpStream> = (0..2)
+        .map(|_| {
+            let stream = TcpStream::connect(router).expect("connect");
+            assert_eq!(keep_alive_exchange(&stream, "GET", "/cluster"), 200);
+            stream
+        })
+        .collect();
+
+    let started = Instant::now();
+    let stream = TcpStream::connect(router).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(15)))
+        .unwrap();
+    assert_eq!(keep_alive_exchange(&stream, "GET", "/sessions"), 200);
+    let waited = started.elapsed();
+    assert!(
+        waited < Duration::from_secs(2),
+        "a third client waited {waited:?} behind {} idle keep-alive clients",
+        idle.len()
+    );
+
+    drop(idle);
+    drop(stream);
+    stop(router, hr);
+    http_str(&wa, "POST", "/shutdown", "");
+    ha.join().unwrap();
+}
+
+/// Spawns `flexserve <args>` as a child process and returns it with the
+/// address it announces on its first stdout line.
+fn spawn_daemon(args: &[String]) -> (std::process::Child, SocketAddr) {
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_flexserve"))
+        .args(args)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn daemon");
+    let stdout = child.stdout.take().expect("child stdout");
+    let mut line = String::new();
+    BufReader::new(stdout)
+        .read_line(&mut line)
+        .expect("announcement");
+    let addr = line
+        .split("http://")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|addr| addr.parse().ok())
+        .unwrap_or_else(|| panic!("no address in announcement {line:?}"));
+    (child, addr)
+}
+
+/// Reads `Threads:` out of `/proc/<pid>/status`.
+fn thread_count(pid: u32) -> usize {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).expect("proc status");
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("Threads: line")
+}
+
+/// The router's connection-scaling contract, as for the serve daemon:
+/// thousands of idle keep-alive connections are held by its fixed
+/// reactor pool — its thread count stays flat — and it keeps answering
+/// under that load. Router and worker run as subprocesses so each has
+/// its own descriptor budget.
+#[test]
+fn ten_thousand_idle_connections_cost_the_router_fds_not_threads() {
+    let ck = temp_path("soak-worker");
+    let (mut worker, worker_addr) = spawn_daemon(&[
+        "serve".into(),
+        "topo=unit-line:8".into(),
+        "wl=uniform:req=3".into(),
+        "strat=onth".into(),
+        "k=4".into(),
+        "bind=127.0.0.1:0".into(),
+        format!("checkpoint={}", ck.display()),
+    ]);
+    let (mut router, router_addr) = spawn_daemon(&[
+        "route".into(),
+        format!("workers={worker_addr}"),
+        "bind=127.0.0.1:0".into(),
+        "health-interval=60".into(),
+        // Idle fresh connections live until this deadline; generous so
+        // the slow ramp-up below cannot get early connections reaped.
+        "request-timeout=120".into(),
+    ]);
+
+    let available = flexserve_experiments::serve::raise_nofile_limit();
+    let target = 10_000.min(available.saturating_sub(512) as usize);
+    assert!(
+        target >= 4_096,
+        "fd limit {available} too low to exercise connection scaling"
+    );
+    // Warm up first so the fixed pools exist before the baseline sample.
+    let (status, body) = http(router_addr, "GET", "/cluster", "");
+    assert_eq!(status, 200, "{body}");
+    let baseline_threads = thread_count(router.id());
+    let mut held = Vec::with_capacity(target);
+    for i in 0..target {
+        match TcpStream::connect_timeout(&router_addr, Duration::from_secs(5)) {
+            Ok(stream) => held.push(stream),
+            Err(e) => panic!("connection {i} of {target} failed: {e}"),
+        }
+    }
+
+    // The router still answers while holding every idle connection...
+    let (status, body) = http(router_addr, "GET", "/cluster", "");
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("\"live_workers\":1"), "{body}");
+    // ...its fd table shows the connections are really held...
+    let fds = std::fs::read_dir(format!("/proc/{}/fd", router.id()))
+        .expect("proc fd dir")
+        .count();
+    assert!(
+        fds >= target,
+        "router holds {fds} fds for {target} connections"
+    );
+    // ...and they cost threads nothing.
+    let threads = thread_count(router.id());
+    assert!(
+        threads <= baseline_threads + 2,
+        "thread count must not scale with connections \
+         (baseline {baseline_threads}, under load {threads})"
+    );
+
+    drop(held);
+    for (child, addr) in [(&mut router, router_addr), (&mut worker, worker_addr)] {
+        let (status, _) = http(addr, "POST", "/shutdown", "");
+        assert_eq!(status, 200);
+        let exit = child.wait().expect("daemon exit");
+        assert!(exit.success(), "daemon exited with {exit}");
+    }
+    let _ = std::fs::remove_file(&ck);
+}
